@@ -192,12 +192,3 @@ def write_chain(pulses: list[Pulse], path: str) -> None:
 def read_chain(path: str) -> list[Pulse]:
     with open(path, "r", encoding="ascii") as fh:
         return [Pulse.from_line(line) for line in fh if line.strip()]
-
-
-def fetch_published_pulse(index: int) -> Pulse:
-    """Fetch a pulse from a live public beacon service.
-
-    Declared for interface completeness; live fetching (e.g. NIST Beacon
-    2.0 over HTTPS) is out of scope for this deterministic build.
-    """
-    raise NotImplementedError("live beacon fetching is not supported in this build")

@@ -1,26 +1,27 @@
-"""Destination chains as block-producing verifier state machines.
+"""Destination chains as packet-verifying state machines.
 
 Each chain runs the packet verifier at a fixed, size-independent gas
-cost taken from a per-chain lookup table, records accepted medians,
-and emits fraud events on rejection.  Gas is a table model, not metered
-execution: each operation kind costs a constant regardless of packet
-contents or committee size.
+cost taken from a per-chain lookup table and records the receipt of
+every accepted packet.  Gas is a table model, not metered execution:
+each operation kind costs a constant regardless of packet contents or
+committee size.  A rejection is only reported in its receipt; watchers
+relay it to the hub.
 
-Time is integer simulated milliseconds throughout.  Block h is produced
-at h * block_time; a transaction arriving at time T lands in the first
-block at or after T and its verdict becomes final ``finality_blocks``
-block times after arrival.
+Time is integer simulated milliseconds throughout.  Blocks are not
+produced one by one; only the inclusion and finality rule is modelled.
+Block h closes at h * block_time, so a transaction arriving at time T
+lands in the first block at or after T (height at least 1), and its
+verdict becomes final ``finality_blocks`` block times after arrival.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import UnknownOperation
 from .oracle import AggregationParams
 from .packets import OraclePacket
-from .proofs import VerifyResult, verify
+from .proofs import verify
 from .vrf import Committee
 
 OP_VERIFY = "verify_proof"
@@ -104,25 +105,14 @@ CHAIN_PRESETS = {"sepolia": sepolia, "scroll": scroll}
 
 @dataclass(frozen=True)
 class Receipt:
-    """Finalized outcome of one packet submission."""
+    """Finalized outcome of one packet submission on one chain."""
 
     chain_id: str
-    epoch: int
-    block_height: int
+    accepted: bool
+    reason: str  # "ok" or the first failed check, see VerifyResult.reason
     gas_used: int
-    result: VerifyResult
-    timestamp_ms: int  # simulated time at which the verdict is final
-
-
-@dataclass(frozen=True)
-class FraudEvent:
-    """Emitted when a destination chain rejects a packet."""
-
-    chain_id: str
-    epoch: int
-    packet_digest: bytes
-    failure_reason: str
-    emitted_at_ms: int
+    block: int  # inclusion height
+    final_ms: int  # simulated time at which the verdict is final
 
 
 @dataclass
@@ -133,10 +123,7 @@ class Chain:
     """
 
     config: ChainConfig
-    height: int = 0
-    recorded: dict[int, int] = field(default_factory=dict)  # epoch -> accepted median
-    receipts: list[Receipt] = field(default_factory=list)
-    fraud_events: list[FraudEvent] = field(default_factory=list)
+    recorded: dict[int, Receipt] = field(default_factory=dict)  # epoch -> accepted receipt
     gas_by_op: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -146,27 +133,6 @@ class Chain:
     @property
     def total_gas(self) -> int:
         return sum(self.gas_by_op.values())
-
-    def produce_block(self, now_ms: int) -> int:
-        """Produce the next block; ``now_ms`` must be at or past its slot."""
-        due = (self.height + 1) * self.config.block_time_ms
-        if now_ms < due:
-            raise ValueError(f"block {self.height + 1} not due until {due} ms")
-        self.height += 1
-        return self.height
-
-    def advance_to(self, now_ms: int) -> int:
-        """Produce every block due by ``now_ms``; returns the new height."""
-        while (self.height + 1) * self.config.block_time_ms <= now_ms:
-            self.height += 1
-        return self.height
-
-    def final_height(self) -> int:
-        """Highest block with ``finality_blocks`` newer blocks on top."""
-        return max(0, self.height - self.config.finality_blocks)
-
-    def is_final(self, block_height: int) -> bool:
-        return block_height + self.config.finality_blocks <= self.height
 
     def charge(self, op_kind: str) -> int:
         cost = gas_cost(self.config, op_kind)
@@ -189,38 +155,20 @@ class Chain:
         Charges the constant verify gas whether or not the packet is
         accepted.  Re-submitting for an epoch whose median is already
         recorded returns the original receipt unchanged (idempotent
-        replay protection).  A rejection appends a FraudEvent.
+        replay protection).
         """
-        self.advance_to(now_ms)
         if packet.epoch in self.recorded:
-            for receipt in self.receipts:
-                if receipt.epoch == packet.epoch and receipt.result.accepted:
-                    return receipt
+            return self.recorded[packet.epoch]
         gas = self.charge(OP_VERIFY)
         result = verify(packet, committee, params)
-        final_ms = now_ms + self.config.finality_ms
         receipt = Receipt(
             chain_id=self.chain_id,
-            epoch=packet.epoch,
-            block_height=self._inclusion_height(now_ms),
+            accepted=result.accepted,
+            reason=result.reason(),
             gas_used=gas,
-            result=result,
-            timestamp_ms=final_ms,
+            block=self._inclusion_height(now_ms),
+            final_ms=now_ms + self.config.finality_ms,
         )
-        self.receipts.append(receipt)
         if result.accepted:
-            self.recorded[packet.epoch] = packet.median
-        else:
-            self.fraud_events.append(
-                FraudEvent(
-                    chain_id=self.chain_id,
-                    epoch=packet.epoch,
-                    packet_digest=packet.digest(),
-                    failure_reason=result.reason(),
-                    emitted_at_ms=final_ms,
-                )
-            )
+            self.recorded[packet.epoch] = receipt
         return receipt
-
-    def recorded_median(self, epoch: int) -> Optional[int]:
-        return self.recorded.get(epoch)

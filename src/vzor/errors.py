@@ -49,10 +49,6 @@ class MalformedWitness(VzorError):
     """Witness violates structural canonical form (ordering, duplicates, field widths)."""
 
 
-class NotInWitness(VzorError):
-    """Requested reporter has no entry in the witness."""
-
-
 class InsufficientStake(VzorError):
     """Registration stake below the ledger minimum."""
 

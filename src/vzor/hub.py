@@ -26,7 +26,7 @@ from .errors import (
 )
 from .oracle import AggregationParams
 from .packets import OraclePacket
-from .proofs import InclusionProof, WitnessEntry, inclusion_proof, verify, verify_inclusion
+from .proofs import InclusionProof, WitnessEntry, inclusion_proofs, verify, verify_inclusion
 from .vrf import Committee
 
 WEI_PER_ETH = 10**18
@@ -131,13 +131,10 @@ def accuse_all_signers(packet: OraclePacket, origin_chain: str) -> FraudProof:
     """Build the fraud proof a watcher submits: every witness signature
     with its Merkle path."""
     witness = packet.witness
-    pairs = tuple(
-        (entry, inclusion_proof(witness, i)) for i, entry in enumerate(witness.entries)
-    )
     return FraudProof(
         packet=packet,
         committee_epoch=packet.epoch,
-        inclusion=pairs,
+        inclusion=tuple(zip(witness.entries, inclusion_proofs(witness))),
         origin_chain=origin_chain,
     )
 
@@ -282,9 +279,6 @@ class Hub:
         )
         self._reports[digest] = report
         return report
-
-    def reports(self) -> list[SlashReport]:
-        return list(self._reports.values())
 
     def snapshot(self) -> tuple[int, int]:
         """(total staked, burned) in wei; their sum is invariant."""

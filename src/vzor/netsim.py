@@ -19,18 +19,17 @@ one extra delta_net_max for the observation leg.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .beacon import BeaconParams, Pulse, make_chain
-from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, ChainConfig
+from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, ChainConfig, Receipt
 from .encoding import be_u64, tagged_digest
 from .errors import QuorumNotMet
-from .hub import Hub, SlashReport, accuse_all_signers
+from .hub import Hub, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
 from .scenario import ScenarioConfig, canonical_text
@@ -51,23 +50,29 @@ def reporter_key_seed(run_seed: int, reporter_id: int) -> bytes:
     return tagged_digest(_KEYSEED_TAG, be_u64(run_seed), be_u64(reporter_id))
 
 
-class EventKind(enum.Enum):
-    PULSE_EMIT = "pulse_emit"
-    COMMITTEE_DRAW = "committee_draw"
-    OBSERVATION_READY = "observation_ready"
-    PACKET_BUILT = "packet_built"
-    PACKET_DELIVERED = "packet_delivered"
-    FRAUD_RELAYED = "fraud_relayed"
-    SLASH_APPLIED = "slash_applied"
-    GOVERNANCE_EFFECTIVE = "governance_effective"
+def governed_hub(config: ScenarioConfig) -> Hub:
+    """The hub at genesis: every reporter staked, every governance
+    proposal scheduled."""
+    hub = Hub(genesis=config.genesis_governed(), governance_delay=config.governance_delay_epochs)
+    for rid in range(config.registry_size):
+        hub.register(rid, config.initial_stake_wei, at_epoch=0)
+    for item in config.governance:
+        hub.propose_update(item.parameter, item.value, item.at_epoch)
+    return hub
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    fire_at_ms: int
-    sequence: int
-    kind: EventKind
-    payload: tuple
+def e2e_ms(t0_ms: int, receipts: tuple[Receipt, ...]) -> Optional[int]:
+    """Latency from the epoch's pulse to the last chain's final verdict,
+    defined only when every chain accepted the packet."""
+    if receipts and all(r.accepted for r in receipts):
+        return max(r.final_ms for r in receipts) - t0_ms
+    return None
+
+
+def ledger_step(ledger: tuple[int, int], cut: int) -> tuple[int, int]:
+    """(total staked, burned) after burning ``cut`` wei of stake."""
+    total, burned = ledger
+    return total - cut, burned + cut
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,6 @@ class TimingModel:
         """tau_f_max + delta_net_max + t_prove + slack, slack = delta_net_max."""
         tau_f = max(c.finality_ms for c in chain_configs)
         return tau_f + self.delta_net_max_ms + self.t_prove_ms + self.delta_net_max_ms
-
-
-@dataclass(frozen=True)
-class ReceiptInfo:
-    chain_id: str
-    accepted: bool
-    reason: str
-    gas: int
-    block: int
-    final_ms: int
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class EpochRecord:
     committee: tuple[tuple[int, bytes], ...]  # (reporter_id, public key), ascending id
     packet_bytes: Optional[bytes]
     median: Optional[int]
-    receipts: tuple[ReceiptInfo, ...]
+    receipts: tuple[Receipt, ...]
     e2e_ms: Optional[int]
     fraud_injected: bool
     slash: Optional[SlashInfo]
@@ -156,12 +151,11 @@ class RunTrace:
 class _EpochState:
     pulse: Pulse
     committee: Optional[Committee] = None
-    governed_n: int = 0
     agg: Optional[AggregationParams] = None
     observations: list[SignedObservation] = field(default_factory=list)
     packet: Optional[OraclePacket] = None
     fraud_injected: bool = False
-    receipts: dict[str, ReceiptInfo] = field(default_factory=dict)
+    receipts: dict[str, Receipt] = field(default_factory=dict)
     relay_scheduled: bool = False
     slash: Optional[SlashInfo] = None
 
@@ -174,17 +168,11 @@ class Simulator:
         self.config = config
         self.timing = TimingModel.from_scenario(config)
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
-        self.hub = Hub(
-            genesis=config.genesis_governed(),
-            governance_delay=config.governance_delay_epochs,
-        )
-        self.secrets: list[ReporterSecret] = []
-        for rid in range(config.registry_size):
-            _, secret = vrf_keygen(reporter_key_seed(config.seed, rid), rid)
-            self.secrets.append(secret)
-            self.hub.register(rid, config.initial_stake_wei, at_epoch=0)
-        for item in config.governance:
-            self.hub.propose_update(item.parameter, item.value, item.at_epoch)
+        self.hub = governed_hub(config)
+        self.secrets: list[ReporterSecret] = [
+            vrf_keygen(reporter_key_seed(config.seed, rid), rid)[1]
+            for rid in range(config.registry_size)
+        ]
 
         beacon_seed = tagged_digest(_BEACON_SEED_TAG, be_u64(config.seed))
         self.pulses = make_chain(BeaconParams(seed=beacon_seed), config.epochs)
@@ -202,7 +190,7 @@ class Simulator:
         # hub state advances on the fastest connected chain's block cadence
         self.hub_tick_ms = min(c.config.block_time_ms for c in self.chains)
 
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._now = 0
         self._states: dict[int, _EpochState] = {}
@@ -224,12 +212,12 @@ class Simulator:
     def _delay(self, rng: random.Random) -> int:
         return rng.randint(self.timing.delta_net_min_ms, self.timing.delta_net_max_ms)
 
-    def _push(self, fire_at_ms: int, kind: EventKind, payload: tuple) -> None:
-        if fire_at_ms < self._now:
+    def _push(self, fire_ms: int, handler: Callable[..., None], *args) -> None:
+        """Schedule ``handler(*args)`` at ``fire_ms``; ties fire in push order."""
+        if fire_ms < self._now:
             raise AssertionError("event scheduled in the past")
-        event = SimEvent(fire_at_ms=fire_at_ms, sequence=self._seq, kind=kind, payload=payload)
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at_ms, event.sequence, event))
+        heapq.heappush(self._heap, (fire_ms, self._seq, handler, args))
 
     def _t0(self, epoch: int) -> int:
         return epoch * self.timing.epoch_interval_ms
@@ -239,53 +227,30 @@ class Simulator:
     def run(self) -> RunTrace:
         cfg = self.config
         for epoch in range(cfg.epochs):
-            self._push(self._t0(epoch), EventKind.PULSE_EMIT, (epoch,))
+            self._push(self._t0(epoch), self._on_pulse, epoch)
         for update in self.hub.updates:
             if update.effective_epoch < cfg.epochs:
                 self._push(
                     self._t0(update.effective_epoch),
-                    EventKind.GOVERNANCE_EFFECTIVE,
-                    (update.effective_epoch, update.parameter, update.value),
+                    self._on_governance_effective,
+                    update.effective_epoch,
+                    update.parameter,
+                    update.value,
                 )
 
         while self._heap:
-            fire, _, event = heapq.heappop(self._heap)
-            if fire < self._now:
-                raise AssertionError("event fired out of order")
-            self._now = fire
-            self._dispatch(event)
+            self._now, _, handler, args = heapq.heappop(self._heap)
+            handler(*args)
 
         return self._finalize()
 
-    def _dispatch(self, event: SimEvent) -> None:
-        kind = event.kind
-        if kind is EventKind.PULSE_EMIT:
-            self._on_pulse(*event.payload)
-        elif kind is EventKind.COMMITTEE_DRAW:
-            self._on_committee_draw(*event.payload)
-        elif kind is EventKind.OBSERVATION_READY:
-            self._on_observation(*event.payload)
-        elif kind is EventKind.PACKET_BUILT:
-            self._on_packet_built(*event.payload)
-        elif kind is EventKind.PACKET_DELIVERED:
-            self._on_packet_delivered(*event.payload)
-        elif kind is EventKind.FRAUD_RELAYED:
-            self._on_fraud_relayed(*event.payload)
-        elif kind is EventKind.SLASH_APPLIED:
-            self._on_slash_applied(*event.payload)
-        elif kind is EventKind.GOVERNANCE_EFFECTIVE:
-            self._on_governance_effective(*event.payload)
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled event kind {kind}")
-
     def _on_pulse(self, epoch: int) -> None:
         self._states[epoch] = _EpochState(pulse=self.pulses[epoch])
-        self._push(self._now, EventKind.COMMITTEE_DRAW, (epoch,))
+        self._push(self._now, self._on_committee_draw, epoch)
 
     def _on_committee_draw(self, epoch: int) -> None:
         state = self._states[epoch]
         governed = self.hub.effective_params(epoch)
-        state.governed_n = governed.n
         state.agg = self.config.aggregation_params(governed)
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
         scored = evaluate_registry(active, state.pulse, epoch)
@@ -303,9 +268,9 @@ class Simulator:
                 noise = self._rng_noise.randint(-self.config.noise_max, self.config.noise_max)
                 value = self._clamp(self.truth[epoch] + noise)
             arrival = t0 + self._delay(self._rng_obs_delay)
-            self._push(arrival, EventKind.OBSERVATION_READY, (epoch, rid, value))
+            self._push(arrival, self._on_observation, epoch, rid, value)
         built_at = t0 + self.timing.delta_net_max_ms + self.timing.t_prove_ms
-        self._push(built_at, EventKind.PACKET_BUILT, (epoch,))
+        self._push(built_at, self._on_packet_built, epoch)
 
     def _on_observation(self, epoch: int, reporter_id: int, value: int) -> None:
         state = self._states[epoch]
@@ -334,46 +299,34 @@ class Simulator:
             return
         for chain in self.chains:
             delay = self._delay(self._rng_chain_delay[chain.chain_id])
-            self._push(
-                self._now + delay, EventKind.PACKET_DELIVERED, (epoch, chain.chain_id)
-            )
+            self._push(self._now + delay, self._on_packet_delivered, epoch, chain)
 
-    def _on_packet_delivered(self, epoch: int, chain_id: str) -> None:
+    def _on_packet_delivered(self, epoch: int, chain: Chain) -> None:
         state = self._states[epoch]
         assert state.packet is not None and state.committee is not None and state.agg is not None
-        chain = next(c for c in self.chains if c.chain_id == chain_id)
         receipt = chain.submit_packet(state.packet, state.committee, state.agg, self._now)
-        state.receipts[chain_id] = ReceiptInfo(
-            chain_id=chain_id,
-            accepted=receipt.result.accepted,
-            reason=receipt.result.reason(),
-            gas=receipt.gas_used,
-            block=receipt.block_height,
-            final_ms=receipt.timestamp_ms,
-        )
-        if not receipt.result.accepted:
-            emitted = receipt.timestamp_ms
-            arrival = emitted + self._delay(self._rng_watcher)
-            self._push(arrival, EventKind.FRAUD_RELAYED, (epoch, chain_id, emitted))
+        state.receipts[chain.chain_id] = receipt
+        if not receipt.accepted:
+            arrival = receipt.final_ms + self._delay(self._rng_watcher)
+            self._push(arrival, self._on_fraud_relayed, epoch, chain, receipt.final_ms)
 
-    def _on_fraud_relayed(self, epoch: int, origin_chain: str, emitted_ms: int) -> None:
+    def _on_fraud_relayed(self, epoch: int, origin: Chain, emitted_ms: int) -> None:
         state = self._states[epoch]
         if state.relay_scheduled:
             return  # later relays for the same packet change nothing
         state.relay_scheduled = True
         ticks = -(-self._now // self.hub_tick_ms)
         applied = max(self._now, ticks * self.hub_tick_ms)
-        self._push(applied, EventKind.SLASH_APPLIED, (epoch, origin_chain, emitted_ms))
+        self._push(applied, self._on_slash_applied, epoch, origin, emitted_ms)
 
-    def _on_slash_applied(self, epoch: int, origin_chain: str, emitted_ms: int) -> None:
+    def _on_slash_applied(self, epoch: int, origin: Chain, emitted_ms: int) -> None:
         state = self._states[epoch]
         assert state.packet is not None and state.committee is not None and state.agg is not None
-        fraud = accuse_all_signers(state.packet, origin_chain)
+        fraud = accuse_all_signers(state.packet, origin.chain_id)
         report = self.hub.adjudicate(fraud, state.committee, state.agg)
-        origin = next(c for c in self.chains if c.chain_id == origin_chain)
         origin.charge(OP_FRAUD)
         state.slash = SlashInfo(
-            origin_chain=origin_chain,
+            origin_chain=origin.chain_id,
             emitted_ms=emitted_ms,
             applied_ms=self._now,
             latency_ms=self._now - emitted_ms,
@@ -394,7 +347,7 @@ class Simulator:
     def _finalize(self) -> RunTrace:
         cfg = self.config
         initial_total = cfg.registry_size * cfg.initial_stake_wei
-        running_total, running_burned = initial_total, 0
+        ledger = (initial_total, 0)
         records = []
         for epoch in range(cfg.epochs):
             state = self._states[epoch]
@@ -405,12 +358,8 @@ class Simulator:
             receipts = tuple(
                 state.receipts[name] for name in cfg.chains if name in state.receipts
             )
-            e2e = None
-            if state.packet is not None and receipts and all(r.accepted for r in receipts):
-                e2e = max(r.final_ms for r in receipts) - self._t0(epoch)
             if state.slash is not None:
-                running_total -= state.slash.total_cut
-                running_burned += state.slash.total_cut
+                ledger = ledger_step(ledger, state.slash.total_cut)
             records.append(
                 EpochRecord(
                     epoch=epoch,
@@ -420,11 +369,11 @@ class Simulator:
                     packet_bytes=None if state.packet is None else state.packet.to_bytes(),
                     median=None if state.packet is None else state.packet.median,
                     receipts=receipts,
-                    e2e_ms=e2e,
+                    e2e_ms=e2e_ms(self._t0(epoch), receipts),
                     fraud_injected=state.fraud_injected,
                     slash=state.slash,
-                    ledger_total=running_total,
-                    ledger_burned=running_burned,
+                    ledger_total=ledger[0],
+                    ledger_burned=ledger[1],
                 )
             )
         total, burned = self.hub.snapshot()

@@ -123,21 +123,23 @@ def _node(left: bytes, right: bytes) -> bytes:
     return tagged_digest(_NODE_TAG, left, right)
 
 
-def _padded_leaves(witness: Witness) -> list[bytes]:
+def _levels(witness: Witness) -> list[list[bytes]]:
+    """Every level of the padded tree, leaves first and the root last."""
     # pad to the next power of two (minimum 2) by repeating the last leaf
-    leaves = [_leaf(e.to_bytes()) for e in witness.entries]
+    level = [_leaf(e.to_bytes()) for e in witness.entries]
     width = 2
-    while width < len(leaves):
+    while width < len(level):
         width *= 2
-    leaves.extend([leaves[-1]] * (width - len(leaves)))
-    return leaves
+    level.extend([level[-1]] * (width - len(level)))
+    levels = [level]
+    while len(level) > 1:
+        level = [_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
 
 
 def witness_root(witness: Witness) -> bytes:
-    level = _padded_leaves(witness)
-    while len(level) > 1:
-        level = [_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+    return _levels(witness)[-1][0]
 
 
 @dataclass(frozen=True)
@@ -148,17 +150,16 @@ class InclusionProof:
     siblings: tuple[bytes, ...]
 
 
-def inclusion_proof(witness: Witness, index: int) -> InclusionProof:
-    if not 0 <= index < len(witness.entries):
-        raise IndexError("witness entry index out of range")
-    level = _padded_leaves(witness)
-    pos = index
-    siblings = []
-    while len(level) > 1:
-        siblings.append(level[pos ^ 1])
-        level = [_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return InclusionProof(index=index, siblings=tuple(siblings))
+def inclusion_proofs(witness: Witness) -> list[InclusionProof]:
+    """The inclusion proof of every witness entry, in entry order."""
+    levels = _levels(witness)[:-1]
+    return [
+        InclusionProof(
+            index=index,
+            siblings=tuple(level[(index >> depth) ^ 1] for depth, level in enumerate(levels)),
+        )
+        for index in range(len(witness.entries))
+    ]
 
 
 def verify_inclusion(root: bytes, entry: WitnessEntry, proof: InclusionProof) -> bool:
@@ -340,28 +341,3 @@ def verify(
         return _reject(Failure.COMMITMENT_MISMATCH)
 
     return VerifyResult(accepted=True)
-
-
-# -- proving cost model -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProvingModel:
-    """Wall-clock cost model for producing one proof, linear in witness size.
-
-    Calibrated so the default 48 KiB witness proves in 0.83 s on one core,
-    with a shallow slope: size changes dominate far less than the fixed
-    setup cost.
-    """
-
-    intercept_seconds: float = 0.8
-    per_kib_seconds: float = 0.000625
-    witness_kib: float = 48.0
-
-    def __post_init__(self) -> None:
-        if self.intercept_seconds < 0 or self.per_kib_seconds < 0 or self.witness_kib <= 0:
-            raise ValueError("proving model constants must be non-negative, size positive")
-
-    def prove_seconds(self, witness_kib: Optional[float] = None) -> float:
-        kib = self.witness_kib if witness_kib is None else witness_kib
-        return self.intercept_seconds + self.per_kib_seconds * kib

@@ -13,16 +13,16 @@ ETH text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 
+from .chains import CHAIN_PRESETS
 from .errors import ConfigError, InvalidScenario
 from .hub import GOVERNED_PARAMETERS, GovernedParams, eth_to_wei, wei_to_eth_text
 from .oracle import AggregationParams
 
 BEHAVIORS = ("honest", "wrong_value", "wrong_median_packet", "withhold")
-
-_KNOWN_CHAINS = ("sepolia", "scroll")
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,11 @@ class ScenarioConfig:
             raise InvalidScenario("seed must fit in 64 bits")
         if self.epochs < 1:
             raise InvalidScenario("need at least one epoch")
-        if self.epoch_interval_s <= 0:
-            raise InvalidScenario("epoch interval must be positive")
+        for key in ("epoch_interval_s", "delta_net_min_s", "delta_net_max_s", "t_prove_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidScenario(f"{key} must be a finite number of seconds")
+        if self.epoch_interval_ms < 1:
+            raise InvalidScenario("epoch interval must be at least 1 ms")
         if not 1 <= self.quorum <= self.committee_size <= self.registry_size:
             raise InvalidScenario(
                 f"need 1 <= quorum ({self.quorum}) <= committee ({self.committee_size})"
@@ -116,7 +119,7 @@ class ScenarioConfig:
         if len(set(self.chains)) != len(self.chains):
             raise InvalidScenario("duplicate chain ids")
         for chain in self.chains:
-            if chain not in _KNOWN_CHAINS:
+            if chain not in CHAIN_PRESETS:
                 raise InvalidScenario(f"unknown chain profile {chain!r}")
         if not self.value_min <= self.value_base <= self.value_max:
             raise InvalidScenario("value_base outside [value_min, value_max]")

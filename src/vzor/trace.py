@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import netsim
-from .chains import CHAIN_PRESETS, OP_VERIFY
+from .chains import CHAIN_PRESETS, OP_VERIFY, Receipt
 from .errors import TraceCorruption
 from .hub import Hub
-from .oracle import AggregationParams
 from .packets import OraclePacket
 from .proofs import verify
 from .scenario import ScenarioConfig, parse_config
@@ -70,7 +69,7 @@ def render_trace(trace: netsim.RunTrace) -> str:
         for receipt in rec.receipts:
             lines.append(
                 f"receipt chain={receipt.chain_id} accepted={1 if receipt.accepted else 0} "
-                f"reason={receipt.reason} gas={receipt.gas} block={receipt.block} "
+                f"reason={receipt.reason} gas={receipt.gas_used} block={receipt.block} "
                 f"final_ms={receipt.final_ms}"
             )
         lines.append(f"e2e_ms {'none' if rec.e2e_ms is None else rec.e2e_ms}")
@@ -117,7 +116,7 @@ def render_csv(trace: netsim.RunTrace) -> str:
             cells.append("" if r is None else ("1" if r.accepted else "0"))
         for c in chains:
             r = by_chain.get(c)
-            cells.append("" if r is None else str(r.gas))
+            cells.append("" if r is None else str(r.gas_used))
         cells.append("" if rec.e2e_ms is None else ms_to_s_text(rec.e2e_ms))
         cells.append("1" if rec.fraud_injected else "0")
         cells.append("" if rec.slash is None else ms_to_s_text(rec.slash.latency_ms))
@@ -268,12 +267,7 @@ def _check_epoch_block(
 
     try:
         governed = hub.effective_params(epoch)
-        params = AggregationParams(
-            quorum=governed.f_min,
-            committee_size=governed.n,
-            value_min=config.value_min,
-            value_max=config.value_max,
-        )
+        params = config.aggregation_params(governed)
 
         members = []
         committee_body = lines["committee"][0][len("committee ") :]
@@ -309,41 +303,44 @@ def _check_epoch_block(
                 flag(f"expected {len(config.chains)} receipts, found {len(lines['receipt'])}")
             for line in lines["receipt"]:
                 fields = _fields(line, "receipt ")
-                chain_id = fields["chain"]
+                receipt = Receipt(
+                    chain_id=fields["chain"],
+                    accepted=fields["accepted"] == "1",
+                    reason=fields["reason"],
+                    gas_used=int(fields["gas"]),
+                    block=int(fields["block"]),
+                    final_ms=int(fields["final_ms"]),
+                )
+                chain_id = receipt.chain_id
                 if chain_id not in CHAIN_PRESETS:
                     flag(f"receipt for unknown chain {chain_id!r}")
                     continue
-                preset = CHAIN_PRESETS[chain_id]()
-                accepted = fields["accepted"] == "1"
-                if accepted != result.accepted:
+                gas = CHAIN_PRESETS[chain_id]().gas_table[OP_VERIFY]
+                if receipt.accepted != result.accepted:
                     flag(
                         f"chain {chain_id} recorded accepted={fields['accepted']} "
                         f"but replay says {result.reason()}"
                     )
-                if fields["reason"] != result.reason():
+                if receipt.reason != result.reason():
                     flag(
-                        f"chain {chain_id} recorded reason {fields['reason']!r} "
+                        f"chain {chain_id} recorded reason {receipt.reason!r} "
                         f"but replay says {result.reason()!r}"
                     )
-                if int(fields["gas"]) != preset.gas_table[OP_VERIFY]:
-                    flag(
-                        f"chain {chain_id} recorded gas {fields['gas']}, "
-                        f"model says {preset.gas_table[OP_VERIFY]}"
-                    )
-                if int(fields["block"]) < 1:
+                if receipt.gas_used != gas:
+                    flag(f"chain {chain_id} recorded gas {receipt.gas_used}, model says {gas}")
+                if receipt.block < 1:
                     flag(f"chain {chain_id} recorded pre-genesis block")
-                receipts.append((chain_id, accepted, int(fields["final_ms"])))
+                receipts.append(receipt)
 
         e2e_body = lines["e2e_ms"][0][len("e2e_ms ") :]
-        if packet is not None and receipts and all(a for _, a, _ in receipts):
-            expected_e2e = max(f for _, _, f in receipts) - epoch * config.epoch_interval_ms
+        expected_e2e = netsim.e2e_ms(epoch * config.epoch_interval_ms, tuple(receipts))
+        if expected_e2e is not None:
             if e2e_body == "none" or int(e2e_body) != expected_e2e:
                 flag(f"e2e {e2e_body!r} does not match receipt finality times {expected_e2e}")
         elif e2e_body != "none":
             flag("e2e recorded for an epoch without full acceptance")
 
         slash_body = lines["slash"][0][len("slash ") :]
-        prev_total, prev_burned = prev_ledger
         ledger_fields = _fields(lines["ledger"][0], "ledger ")
         ledger_total, ledger_burned = int(ledger_fields["total"]), int(ledger_fields["burned"])
 
@@ -367,15 +364,12 @@ def _check_epoch_block(
                     fields["emitted_ms"]
                 ):
                     flag("slash latency does not match its timestamps")
-                if (ledger_total, ledger_burned) != (
-                    prev_total - expected_total,
-                    prev_burned + expected_total,
-                ):
+                if (ledger_total, ledger_burned) != netsim.ledger_step(prev_ledger, expected_total):
                     flag("ledger totals break stake conservation")
         else:
             if slash_body != "none":
                 flag("slash recorded without a rejection")
-            if (ledger_total, ledger_burned) != (prev_total, prev_burned):
+            if (ledger_total, ledger_burned) != prev_ledger:
                 flag("ledger totals changed without a slash")
         return ledger_total, ledger_burned
     except (ValueError, KeyError) as exc:
@@ -400,11 +394,7 @@ def verify_trace_text(text: str) -> TraceCheck:
         return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
 
     problems: list[str] = []
-    hub = Hub(
-        genesis=config.genesis_governed(), governance_delay=config.governance_delay_epochs
-    )
-    for item in config.governance:
-        hub.propose_update(item.parameter, item.value, item.at_epoch)
+    hub = netsim.governed_hub(config)
 
     expected_initial = config.registry_size * config.initial_stake_wei
     if parsed.initial_total != expected_initial:

@@ -133,19 +133,16 @@ def sortition_input(pulse_value: bytes, epoch: int) -> bytes:
 
 @dataclass(frozen=True)
 class SortitionParams:
-    """Committee size, selection rule, and VRF security level."""
+    """Committee size and selection rule."""
 
     committee_size: int = 15
     mode: str = "lowest_n"  # or "threshold"
-    security_bits: int = 128
 
     def __post_init__(self) -> None:
         if self.committee_size < 1:
             raise ValueError("committee size must be >= 1")
         if self.mode not in ("lowest_n", "threshold"):
             raise ValueError(f"unknown sortition mode {self.mode!r}")
-        if self.security_bits not in (80, 128, 256):
-            raise ValueError("security bits must be one of 80, 128, 256")
 
 
 @dataclass(frozen=True)

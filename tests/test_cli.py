@@ -64,6 +64,33 @@ def test_run_exit_3_on_invalid_scenario(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "epoch_interval_s = nan"],
+        ["run", "epoch_interval_s = inf"],
+        ["run", "epoch_interval_s = 0.0004"],  # rounds to a 0 ms epoch interval
+        ["run", "delta_net_max_s = inf"],
+        ["run", "t_prove_s = nan"],
+        ["run", "t_prove_s = inf"],
+        ["sweep", "t_prove", "inf"],
+    ],
+    ids=["interval-nan", "interval-inf", "interval-0.4ms", "delta-max-inf", "t-prove-nan",
+         "t-prove-inf", "sweep-t-prove-inf"],
+)
+def test_non_finite_and_sub_millisecond_times_exit_3(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    if command[0] == "run":
+        config = _write(tmp_path, "times.txt", SMALL + command[1] + "\n")
+        argv = ["run", "--config", config, "--out", out]
+    else:
+        config = _write(tmp_path, "scenario.txt", SMALL)
+        argv = ["sweep", "--config", config, "--param", command[1], "--values", command[2],
+                "--out", out]
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_verify_trace_accepts_run_output(run_dir, capsys):
     assert main(["verify-trace", str(run_dir / "trace.txt")]) == 0
     assert "trace verified" in capsys.readouterr().out

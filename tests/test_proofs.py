@@ -10,13 +10,12 @@ from vzor.proofs import (
     Failure,
     InclusionProof,
     ProofObject,
-    ProvingModel,
     VerifyResult,
     Witness,
     WitnessEntry,
     _leaf,
     _node,
-    inclusion_proof,
+    inclusion_proofs,
     prove,
     statement_digest,
     verify,
@@ -95,8 +94,9 @@ def test_inclusion_proofs_verify_for_all_indices(count):
     width = 2
     while width < count:
         width *= 2
-    for index, entry in enumerate(witness.entries):
-        proof = inclusion_proof(witness, index)
+    proofs = inclusion_proofs(witness)
+    assert [proof.index for proof in proofs] == list(range(count))
+    for entry, proof in zip(witness.entries, proofs):
         assert len(proof.siblings) == width.bit_length() - 1
         assert verify_inclusion(root, entry, proof)
 
@@ -104,14 +104,14 @@ def test_inclusion_proofs_verify_for_all_indices(count):
 def test_inclusion_rejects_wrong_entry_root_or_index():
     witness = _witness(range(6))
     root = witness_root(witness)
-    proof = inclusion_proof(witness, 2)
+    proofs = inclusion_proofs(witness)
+    assert len(proofs) == 6
+    proof = proofs[2]
     assert not verify_inclusion(root, witness.entries[3], proof)
     assert not verify_inclusion(bytes(32), witness.entries[2], proof)
     assert not verify_inclusion(root, witness.entries[2], InclusionProof(3, proof.siblings))
     # an over-long index cannot escape the tree
     assert not verify_inclusion(root, witness.entries[2], InclusionProof(99, proof.siblings))
-    with pytest.raises(IndexError):
-        inclusion_proof(witness, 6)
 
 
 def test_root_changes_with_any_entry():
@@ -299,22 +299,3 @@ def test_any_single_mutation_is_rejected(make_packet, agg_params, kind, seed):
     # rejection survives a serialization round trip
     rehydrated = OraclePacket.from_bytes(mutated.to_bytes())
     assert not verify(rehydrated, committee, agg_params)
-
-
-# -- proving cost model ---------------------------------------------------------
-
-
-def test_proving_model_defaults():
-    model = ProvingModel()
-    assert model.prove_seconds() == pytest.approx(0.83)
-    assert model.prove_seconds(48.0) == pytest.approx(0.83)
-    assert model.prove_seconds(64.0) == pytest.approx(0.84)
-    # shallow slope: a 16 KiB swing moves the estimate by ~1%
-    assert model.prove_seconds(64.0) - model.prove_seconds(48.0) == pytest.approx(0.01)
-
-
-def test_proving_model_validation():
-    with pytest.raises(ValueError):
-        ProvingModel(intercept_seconds=-0.1)
-    with pytest.raises(ValueError):
-        ProvingModel(witness_kib=0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -240,3 +241,25 @@ def test_verify_catches_missing_epoch(honest_trace):
     check = verify_trace_text(text)
     assert check.exit_code == 4
     assert any("covers epochs" in problem for problem in check.problems)
+
+
+# -- fixed-seed fuzzing ---------------------------------------------------------------
+
+
+def test_verify_rejects_every_single_byte_edit():
+    # 400 seeded single-byte printable edits of a short fraud trace: every
+    # edit that changes the text is corruption (2) or a mismatch (4), and
+    # verification never raises
+    text = render_trace(
+        netsim.run(
+            ScenarioConfig(
+                seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2
+            )
+        )
+    )
+    rng = random.Random(2026)
+    for _ in range(400):
+        pos = rng.randrange(len(text))
+        edited = text[:pos] + chr(rng.randrange(32, 127)) + text[pos + 1 :]
+        if edited != text:
+            assert verify_trace_text(edited).exit_code in (2, 4), (pos, edited[pos])

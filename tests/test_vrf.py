@@ -151,5 +151,3 @@ def test_sortition_params_validation():
         SortitionParams(committee_size=0)
     with pytest.raises(ValueError):
         SortitionParams(mode="coin-flip")
-    with pytest.raises(ValueError):
-        SortitionParams(security_bits=64)
