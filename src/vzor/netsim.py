@@ -20,6 +20,7 @@ one extra delta_net_max for the observation leg.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 from .beacon import BeaconParams, Pulse, make_chain
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, ChainConfig, Receipt
 from .encoding import be_u64, tagged_digest
-from .errors import QuorumNotMet
+from .errors import QuorumNotMet, RegistryTooSmall
 from .hub import Hub, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
@@ -120,7 +121,7 @@ class EpochRecord:
     epoch: int
     t0_ms: int
     pulse_digest: bytes
-    committee: tuple[tuple[int, bytes], ...]  # (reporter_id, public key), ascending id
+    committee: tuple[tuple[int, bytes], ...]  # (reporter_id, public key), ascending id; () if none
     packet_bytes: Optional[bytes]
     median: Optional[int]
     receipts: tuple[Receipt, ...]
@@ -196,6 +197,18 @@ class Simulator:
         self._states: dict[int, _EpochState] = {}
         self._governance_records: list[GovernanceRecord] = []
 
+        for epoch in range(config.epochs):
+            self._push(self._t0(epoch), self._on_pulse, epoch)
+        for update in self.hub.updates:
+            if update.effective_epoch < config.epochs:
+                self._push(
+                    self._t0(update.effective_epoch),
+                    self._on_governance_effective,
+                    update.effective_epoch,
+                    update.parameter,
+                    update.value,
+                )
+
     # -- setup helpers ----------------------------------------------------------
 
     def _truth_series(self) -> list[int]:
@@ -222,26 +235,23 @@ class Simulator:
     def _t0(self, epoch: int) -> int:
         return epoch * self.timing.epoch_interval_ms
 
+    def packet_built_ms(self, epoch: int) -> int:
+        """When the epoch's packet is built: observations close at the
+        delta_net_max deadline and proving takes t_prove."""
+        return self._t0(epoch) + self.timing.delta_net_max_ms + self.timing.t_prove_ms
+
     # -- event loop ---------------------------------------------------------------
 
-    def run(self) -> RunTrace:
-        cfg = self.config
-        for epoch in range(cfg.epochs):
-            self._push(self._t0(epoch), self._on_pulse, epoch)
-        for update in self.hub.updates:
-            if update.effective_epoch < cfg.epochs:
-                self._push(
-                    self._t0(update.effective_epoch),
-                    self._on_governance_effective,
-                    update.effective_epoch,
-                    update.parameter,
-                    update.value,
-                )
-
-        while self._heap:
-            self._now, _, handler, args = heapq.heappop(self._heap)
+    def advance_to(self, until_ms: float) -> None:
+        """Fire every scheduled event up to and including ``until_ms``, in
+        the order a full run fires them."""
+        heap = self._heap
+        while heap and heap[0][0] <= until_ms:
+            self._now, _, handler, args = heapq.heappop(heap)
             handler(*args)
 
+    def run(self) -> RunTrace:
+        self.advance_to(math.inf)
         return self._finalize()
 
     def _on_pulse(self, epoch: int) -> None:
@@ -254,9 +264,12 @@ class Simulator:
         state.agg = self.config.aggregation_params(governed)
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
         scored = evaluate_registry(active, state.pulse, epoch)
-        state.committee = select_committee(
-            state.pulse, epoch, scored, SortitionParams(committee_size=governed.n)
-        )
+        try:
+            state.committee = select_committee(
+                state.pulse, epoch, scored, SortitionParams(committee_size=governed.n)
+            )
+        except RegistryTooSmall:
+            return  # slashing left fewer active reporters than n: no committee, no packet
         t0 = self._t0(epoch)
         for ident, _ in state.committee.members:
             rid = ident.id
@@ -269,8 +282,7 @@ class Simulator:
                 value = self._clamp(self.truth[epoch] + noise)
             arrival = t0 + self._delay(self._rng_obs_delay)
             self._push(arrival, self._on_observation, epoch, rid, value)
-        built_at = t0 + self.timing.delta_net_max_ms + self.timing.t_prove_ms
-        self._push(built_at, self._on_packet_built, epoch)
+        self._push(self.packet_built_ms(epoch), self._on_packet_built, epoch)
 
     def _on_observation(self, epoch: int, reporter_id: int, value: int) -> None:
         state = self._states[epoch]
@@ -351,10 +363,8 @@ class Simulator:
         records = []
         for epoch in range(cfg.epochs):
             state = self._states[epoch]
-            assert state.committee is not None
-            committee = tuple(
-                sorted((i.id, i.public_key) for i, _ in state.committee.members)
-            )
+            members = () if state.committee is None else state.committee.members
+            committee = tuple(sorted((i.id, i.public_key) for i, _ in members))
             receipts = tuple(
                 state.receipts[name] for name in cfg.chains if name in state.receipts
             )

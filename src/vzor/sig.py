@@ -14,7 +14,13 @@ A lookup with any other key, message or signature misses the memo and
 falls through to a real verify, so the memo never changes a verdict: it
 only skips repeated work.  Setting the environment variable
 ``VZOR_REAL_VERIFY`` to anything but ``""`` or ``"0"`` bypasses the memo
-(no lookups, no new entries), so every check is a real verify.
+(no lookups, no new entries), so every check is a real verify.  The
+variable is read at import and again by :func:`reset`.
+
+``vzor verify-trace`` leans on the signer's entries: it checks each epoch
+block right after its deterministic replay has re-signed that epoch, so a
+genuine witness signature is a memo hit and only a forged or altered one
+costs a real verify.
 
 The module counts signs, real verifies and memo hits; :func:`counters`
 returns a snapshot.
@@ -54,8 +60,11 @@ _counters = Counters()
 _memo: OrderedDict[tuple[bytes, bytes, bytes], bool] = OrderedDict()
 
 
-def _memo_enabled() -> bool:
+def _memo_wanted() -> bool:
     return os.environ.get(REAL_VERIFY_ENV, "") in ("", "0")
+
+
+_memo_enabled = _memo_wanted()
 
 
 def _remember(key: tuple[bytes, bytes, bytes], verdict: bool) -> None:
@@ -77,7 +86,7 @@ class Signer:
         message = bytes(message)
         signature = self._key.sign(message)
         _counters.signs += 1
-        if _memo_enabled():
+        if _memo_enabled:
             _remember((self.public_key, message, signature), True)
         return signature
 
@@ -86,8 +95,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` is a valid Ed25519 signature of ``message``
     under ``public_key``; malformed keys and signatures are simply false."""
     key = (bytes(public_key), bytes(message), bytes(signature))
-    use_memo = _memo_enabled()
-    if use_memo:
+    if _memo_enabled:
         verdict = _memo.get(key)
         if verdict is not None:
             _counters.memo_hits += 1
@@ -98,7 +106,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         verdict = True
     except (InvalidSignature, ValueError):
         verdict = False
-    if use_memo:
+    if _memo_enabled:
         _remember(key, verdict)
     return verdict
 
@@ -112,6 +120,8 @@ def memo_size() -> int:
 
 
 def reset() -> None:
-    """Empty the memo and zero the counters."""
+    """Empty the memo, zero the counters and read ``VZOR_REAL_VERIFY`` again."""
+    global _memo_enabled
+    _memo_enabled = _memo_wanted()
     _memo.clear()
     _counters.signs = _counters.real_verifies = _counters.memo_hits = 0

@@ -162,3 +162,28 @@ def test_print_config_round_trips(capsys):
     printed = capsys.readouterr().out
     assert printed == canonical_text(ScenarioConfig())
     assert parse_config(printed) == ScenarioConfig()
+
+
+def test_active_set_depletion_runs_and_verifies(tmp_path, capsys):
+    # one slash of 15 signers at a full 32 ETH cut leaves 5 of 20 reporters
+    # with stake: later epochs have no committee, no packet and no receipt
+    config = _write(
+        tmp_path,
+        "depleted.txt",
+        "epochs = 12\nregistry_size = 20\nadversary_behavior = wrong_median_packet\n"
+        "fraud_period = 2\nslash_cut_eth = 32\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert main(["verify-trace", str(out / "trace.txt")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [row.split(",") for row in (out / "epochs.csv").read_text().split("\n")[1:-1]]
+    assert [row[1] == "" for row in rows] == [False] * 2 + [True] * 10
+    assert all(row[2] == "" and row[3] == "" for row in rows[2:])
+    metrics = (out / "metrics.txt").read_text()
+    assert "accepted_epochs = 1\n" in metrics and "slash_count = 1\n" in metrics
+    names = {line.split(" = ")[0] for line in metrics.splitlines()}
+    assert {name for name in names if not name.startswith(("gas_", "selected_"))} == {
+        "epochs", "accepted_epochs", "throughput_pps", "mean_e2e_s", "stdev_e2e_s",
+        "slash_count", "mean_slash_latency_s",
+    }

@@ -14,6 +14,10 @@ FRAUD = "seed = 3\nepochs = 6\nadversary_behavior = wrong_median_packet\nfraud_p
 def fresh_seam(monkeypatch):
     monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
     sig.reset()
+    yield
+    # the seam reads the variable only in reset(): restore both for later tests
+    monkeypatch.undo()
+    sig.reset()
 
 
 @pytest.fixture()
@@ -83,6 +87,7 @@ def test_memo_size_stays_at_default_cap(signer):
 
 def test_real_verify_mode_bypasses_memo(signer, monkeypatch):
     monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
+    sig.reset()
     signature = signer.sign(b"m")
     assert sig.memo_size() == 0
     assert sig.verify(signer.public_key, b"m", signature)

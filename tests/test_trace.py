@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from vzor import netsim
+from vzor import netsim, sig
 from vzor.errors import TraceCorruption
+from vzor.oracle import observation_message
+from vzor.packets import OraclePacket
 from vzor.scenario import GovernanceItem, ScenarioConfig
 from vzor.trace import (
     TRACE_HEADER,
@@ -17,6 +19,7 @@ from vzor.trace import (
     write_csv,
     write_trace,
 )
+from vzor.vrf import vrf_keygen
 
 BASE = ScenarioConfig(seed=7, epochs=12)
 
@@ -221,6 +224,20 @@ def test_verify_catches_slash_tampering(fraud_trace):
     assert verify_trace_text(text).exit_code == 4
 
 
+def test_verify_accepts_cuts_larger_than_the_stake_left():
+    # a 20 ETH cut empties a 32 ETH stake on its second slash, which then
+    # burns only the 12 ETH left; which slash gets the short cut is the
+    # hub's application order, so only the run's total burn is exact
+    config = ScenarioConfig(
+        seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=1,
+        slash_cut_wei=20 * 10**18,
+    )
+    trace = netsim.run(config)
+    slashes = [r.slash for r in trace.records if r.slash is not None]
+    assert any(s.total_cut < s.per_reporter_cut * len(s.slashed) for s in slashes)
+    assert verify_trace_text(render_trace(trace)).exit_code == 0
+
+
 def test_verify_catches_ledger_tampering(fraud_trace):
     burned = fraud_trace.final_burned
     text = _swap_line(
@@ -263,3 +280,112 @@ def test_verify_rejects_every_single_byte_edit():
         edited = text[:pos] + chr(rng.randrange(32, 127)) + text[pos + 1 :]
         if edited != text:
             assert verify_trace_text(edited).exit_code in (2, 4), (pos, edited[pos])
+
+
+# -- one pass: each block is checked right after the replay re-signs it ---------------
+
+SHORT = ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
+
+
+@pytest.fixture()
+def seam(monkeypatch):
+    """The memo seam in its default mode, restored for later tests."""
+    monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
+    sig.reset()
+    yield monkeypatch
+    monkeypatch.undo()
+    sig.reset()
+
+
+def _verify_fresh(text: str):
+    """verify-trace as a new process runs it: empty memo, zero counters."""
+    sig.reset()
+    return verify_trace_text(text), sig.counters()
+
+
+def _verify_both_modes(text: str, seam):
+    check, _ = _verify_fresh(text)
+    seam.setenv(sig.REAL_VERIFY_ENV, "1")
+    real, counts = _verify_fresh(text)
+    seam.delenv(sig.REAL_VERIFY_ENV)
+    sig.reset()
+    assert counts.memo_hits == 0
+    assert real == check
+    return check
+
+
+def _edit_witness(text: str, epoch: int, edit) -> str:
+    """Re-encode epoch ``epoch``'s packet after ``edit`` rewrote its entries."""
+    lines = text.split("\n")
+    start = lines.index(f"[epoch {epoch}]")
+    index = next(i for i in range(start, len(lines)) if lines[i].startswith("packet "))
+    packet = OraclePacket.from_bytes(bytes.fromhex(lines[index][len("packet ") :]))
+    entries = list(packet.witness.entries)
+    edit(entries)
+    witness = dataclasses.replace(packet.witness, entries=tuple(entries))
+    lines[index] = "packet " + dataclasses.replace(packet, witness=witness).to_bytes().hex()
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("behavior", ["honest", "wrong_median_packet"])
+def test_clean_trace_needs_no_real_verify(seam, behavior):
+    text = render_trace(netsim.run(dataclasses.replace(SHORT, adversary_behavior=behavior)))
+    check, counts = _verify_fresh(text)
+    assert check.exit_code == 0
+    assert counts.real_verifies == 0
+    assert counts.memo_hits > 0
+
+
+def test_overlapping_epochs_need_no_real_verify(seam):
+    # a packet is built 2.83 s after its pulse, so epochs 1 s apart overlap
+    config = dataclasses.replace(SHORT, epoch_interval_s=1.0)
+    simulator = netsim.Simulator(config)
+    assert simulator.packet_built_ms(0) > 2 * config.epoch_interval_ms
+    check, counts = _verify_fresh(render_trace(simulator.run()))
+    assert check.exit_code == 0
+    assert counts.real_verifies == 0
+
+
+def _swap_signatures(entries):
+    first, second = entries[0], entries[1]
+    entries[0] = dataclasses.replace(first, signature=second.signature)
+    entries[1] = dataclasses.replace(second, signature=first.signature)
+
+
+def _flip_signature_bit(entries):
+    last = entries[-1]
+    flipped = bytes([last.signature[0] ^ 1]) + last.signature[1:]
+    entries[-1] = dataclasses.replace(last, signature=flipped)
+
+
+@pytest.mark.parametrize(
+    ("epoch", "edit"),
+    [(2, _swap_signatures), (SHORT.epochs - 1, _flip_signature_bit)],
+    ids=["swapped", "flipped_bit_last_epoch"],
+)
+def test_altered_witness_signature_exits_4(seam, epoch, edit):
+    text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, edit)
+    check = _verify_both_modes(text, seam)
+    assert check.exit_code == 4
+    assert f"epoch {epoch}:" in check.problems[0]
+    assert "BadSignature" in check.problems[0]
+
+
+def test_valid_signature_over_another_value_exits_4(seam):
+    epoch = 2
+    forged = []
+
+    def resign(entries):
+        entry = entries[0]
+        rid = entry.reporter_id
+        secret = vrf_keygen(netsim.reporter_key_seed(SHORT.seed, rid), rid)[1]
+        message = observation_message(entry.value + 1, epoch, rid)
+        forged.append((secret.public_key(), message, secret.sign(message)))
+        entries[0] = dataclasses.replace(entry, signature=forged[0][2])
+
+    text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, resign)
+    assert sig.verify(*forged[0])  # a genuine signature by the member, for value + 1
+    check = _verify_both_modes(text, seam)
+    assert check.exit_code == 4
+    assert f"epoch {epoch}:" in check.problems[0]
+    assert "BadSignature" in check.problems[0]
