@@ -56,26 +56,6 @@ class Pulse:
     prev_digest: bytes
     chain_digest: bytes
 
-    def to_line(self) -> str:
-        return "%d,%d,%s,%s,%s" % (
-            self.index,
-            self.timestamp,
-            self.value.hex(),
-            self.prev_digest.hex(),
-            self.chain_digest.hex(),
-        )
-
-    @classmethod
-    def from_line(cls, line: str) -> "Pulse":
-        index, timestamp, value, prev_digest, chain_digest = line.strip().split(",")
-        return cls(
-            index=int(index),
-            timestamp=int(timestamp),
-            value=bytes.fromhex(value),
-            prev_digest=bytes.fromhex(prev_digest),
-            chain_digest=bytes.fromhex(chain_digest),
-        )
-
 
 def pulse_value(seed: bytes, index: int) -> bytes:
     """512-bit pulse value: two domain-separated keyed digests of (seed, index)."""
@@ -180,15 +160,3 @@ def joint_entropy_lower_bound(k: int, params: BeaconParams) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     return k * params.min_entropy_bits
-
-
-def write_chain(pulses: list[Pulse], path: str) -> None:
-    """Serialize a pulse chain, one comma-separated record per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for p in pulses:
-            fh.write(p.to_line() + "\n")
-
-
-def read_chain(path: str) -> list[Pulse]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [Pulse.from_line(line) for line in fh if line.strip()]

@@ -130,10 +130,6 @@ class Chain:
     def chain_id(self) -> str:
         return self.config.chain_id
 
-    @property
-    def total_gas(self) -> int:
-        return sum(self.gas_by_op.values())
-
     def charge(self, op_kind: str) -> int:
         cost = gas_cost(self.config, op_kind)
         self.gas_by_op[op_kind] = self.gas_by_op.get(op_kind, 0) + cost

@@ -39,8 +39,10 @@ GOVERNED_PARAMETERS = ("f_min", "s_cut", "n", "S_min")
 
 
 def eth_to_wei(amount: Union[str, int, Decimal]) -> int:
-    """Exact ETH -> wei conversion; rejects sub-wei precision."""
+    """Exact ETH -> wei conversion; rejects sub-wei precision and non-finite amounts."""
     quantity = Decimal(amount) * WEI_PER_ETH
+    if not quantity.is_finite():
+        raise ValueError(f"{amount} ETH is not a finite amount")
     wei = int(quantity)
     if wei != quantity:
         raise ValueError(f"{amount} ETH is not a whole number of wei")
@@ -76,7 +78,6 @@ class GovernedParams:
 class GovernanceUpdate:
     parameter: str
     value: int
-    proposed_at_epoch: int
     effective_epoch: int
     sequence: int  # proposal order, breaks same-epoch ties
 
@@ -203,7 +204,6 @@ class Hub:
         update = GovernanceUpdate(
             parameter=parameter,
             value=value,
-            proposed_at_epoch=at_epoch,
             effective_epoch=at_epoch + self.governance_delay,
             sequence=len(self.updates),
         )

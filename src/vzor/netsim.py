@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .beacon import BeaconParams, Pulse, make_chain
-from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, ChainConfig, Receipt
+from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
 from .encoding import be_u64, tagged_digest
 from .errors import QuorumNotMet, RegistryTooSmall
 from .hub import Hub, accuse_all_signers
@@ -76,26 +76,10 @@ def ledger_step(ledger: tuple[int, int], cut: int) -> tuple[int, int]:
     return total - cut, burned + cut
 
 
-@dataclass(frozen=True)
-class TimingModel:
-    epoch_interval_ms: int
-    delta_net_min_ms: int
-    delta_net_max_ms: int
-    t_prove_ms: int
-
-    @classmethod
-    def from_scenario(cls, config: ScenarioConfig) -> "TimingModel":
-        return cls(
-            epoch_interval_ms=config.epoch_interval_ms,
-            delta_net_min_ms=config.delta_net_min_ms,
-            delta_net_max_ms=config.delta_net_max_ms,
-            t_prove_ms=config.t_prove_ms,
-        )
-
-    def latency_bound_ms(self, chain_configs: list[ChainConfig]) -> int:
-        """tau_f_max + delta_net_max + t_prove + slack, slack = delta_net_max."""
-        tau_f = max(c.finality_ms for c in chain_configs)
-        return tau_f + self.delta_net_max_ms + self.t_prove_ms + self.delta_net_max_ms
+def latency_bound_ms(config: ScenarioConfig) -> int:
+    """tau_f_max + delta_net_max + t_prove + slack, slack = delta_net_max."""
+    tau_f = max(CHAIN_PRESETS[name]().finality_ms for name in config.chains)
+    return tau_f + config.delta_net_max_ms + config.t_prove_ms + config.delta_net_max_ms
 
 
 @dataclass(frozen=True)
@@ -167,7 +151,6 @@ class Simulator:
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
-        self.timing = TimingModel.from_scenario(config)
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
         self.hub = governed_hub(config)
         self.secrets: list[ReporterSecret] = [
@@ -223,7 +206,7 @@ class Simulator:
         return max(self.config.value_min, min(self.config.value_max, value))
 
     def _delay(self, rng: random.Random) -> int:
-        return rng.randint(self.timing.delta_net_min_ms, self.timing.delta_net_max_ms)
+        return rng.randint(self.config.delta_net_min_ms, self.config.delta_net_max_ms)
 
     def _push(self, fire_ms: int, handler: Callable[..., None], *args) -> None:
         """Schedule ``handler(*args)`` at ``fire_ms``; ties fire in push order."""
@@ -233,12 +216,12 @@ class Simulator:
         heapq.heappush(self._heap, (fire_ms, self._seq, handler, args))
 
     def _t0(self, epoch: int) -> int:
-        return epoch * self.timing.epoch_interval_ms
+        return epoch * self.config.epoch_interval_ms
 
     def packet_built_ms(self, epoch: int) -> int:
         """When the epoch's packet is built: observations close at the
         delta_net_max deadline and proving takes t_prove."""
-        return self._t0(epoch) + self.timing.delta_net_max_ms + self.timing.t_prove_ms
+        return self._t0(epoch) + self.config.delta_net_max_ms + self.config.t_prove_ms
 
     # -- event loop ---------------------------------------------------------------
 
@@ -425,12 +408,9 @@ class LivenessReport:
         return not self.violations
 
 
-def check_liveness(trace: RunTrace, timing: Optional[TimingModel] = None) -> LivenessReport:
+def check_liveness(trace: RunTrace) -> LivenessReport:
     """Assert the per-epoch latency bound on every honest epoch with a packet."""
-    if timing is None:
-        timing = TimingModel.from_scenario(trace.config)
-    chain_configs = [CHAIN_PRESETS[name]() for name in trace.chain_ids]
-    bound = timing.latency_bound_ms(chain_configs)
+    bound = latency_bound_ms(trace.config)
     checked = 0
     violations = []
     for record in trace.records:
@@ -441,7 +421,7 @@ def check_liveness(trace: RunTrace, timing: Optional[TimingModel] = None) -> Liv
             violations.append((record.epoch, record.e2e_ms))
     return LivenessReport(
         bound_ms=bound,
-        slack_ms=timing.delta_net_max_ms,
+        slack_ms=trace.config.delta_net_max_ms,
         checked_epochs=checked,
         violations=tuple(violations),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sig
-from .encoding import be_i64, be_u64, domain_message, read_i64, read_u64, tagged_digest
+from .encoding import be_i64, be_u64, domain_message, tagged_digest
 from .errors import EmptyInput, ValueOutOfRange
 from .vrf import SIGNATURE_BYTES, ReporterSecret
 
@@ -57,40 +57,12 @@ def observation_message(value: int, epoch: int, reporter_id: int) -> bytes:
 
 @dataclass(frozen=True)
 class SignedObservation:
-    """One reporter's value for one epoch, with its signature.
-
-    Canonical binary record: reporter_id u64, value i64, epoch u64,
-    signature (64 bytes), all big-endian, 88 bytes total.
-    """
+    """One reporter's value for one epoch, with its signature."""
 
     reporter_id: int
     value: int
     epoch: int
     signature: bytes
-
-    RECORD_BYTES = 8 + 8 + 8 + SIGNATURE_BYTES
-
-    def to_bytes(self) -> bytes:
-        return be_u64(self.reporter_id) + be_i64(self.value) + be_u64(self.epoch) + self.signature
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "SignedObservation":
-        if len(buf) != cls.RECORD_BYTES:
-            raise ValueError(f"observation record must be {cls.RECORD_BYTES} bytes")
-        return cls(
-            reporter_id=read_u64(buf, 0),
-            value=read_i64(buf, 8),
-            epoch=read_u64(buf, 16),
-            signature=buf[24:],
-        )
-
-    def to_text(self) -> str:
-        return "obs reporter=%d value=%d epoch=%d sig=%s" % (
-            self.reporter_id,
-            self.value,
-            self.epoch,
-            self.signature.hex(),
-        )
 
 
 def sign_observation(

@@ -16,7 +16,6 @@ programmer error instead.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -245,9 +244,6 @@ class Failure(enum.Enum):
     COMMITMENT_MISMATCH = "CommitmentMismatch"
 
 
-_REASON_RE = re.compile(r"^([A-Za-z]+)(?:\((\d+)\))?$")
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of packet verification; truthy iff the packet is accepted."""
@@ -266,20 +262,6 @@ class VerifyResult:
         if self.culprit is None:
             return self.failure.value
         return f"{self.failure.value}({self.culprit})"
-
-    @classmethod
-    def from_reason(cls, text: str) -> "VerifyResult":
-        if text == "ok":
-            return cls(accepted=True)
-        m = _REASON_RE.match(text)
-        if m is None:
-            raise ValueError(f"unparseable verify reason: {text!r}")
-        try:
-            failure = Failure(m.group(1))
-        except ValueError:
-            raise ValueError(f"unknown verify failure: {m.group(1)!r}") from None
-        culprit = int(m.group(2)) if m.group(2) is not None else None
-        return cls(accepted=False, failure=failure, culprit=culprit)
 
 
 def _reject(failure: Failure, culprit: Optional[int] = None) -> VerifyResult:

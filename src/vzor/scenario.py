@@ -14,8 +14,9 @@ ETH text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from dataclasses import Field, dataclass, field, fields
+from decimal import InvalidOperation
+from typing import Any, Callable
 
 from .chains import CHAIN_PRESETS
 from .errors import ConfigError, InvalidScenario
@@ -121,6 +122,9 @@ class ScenarioConfig:
         for chain in self.chains:
             if chain not in CHAIN_PRESETS:
                 raise InvalidScenario(f"unknown chain profile {chain!r}")
+        # values are signed 64-bit, and a lying aggregator claims median + 1
+        if self.value_min < -(2**63) or self.value_max > 2**63 - 2:
+            raise InvalidScenario("value range must lie within [-2^63, 2^63 - 2]")
         if not self.value_min <= self.value_base <= self.value_max:
             raise InvalidScenario("value_base outside [value_min, value_max]")
         if self.value_walk_max < 0 or self.noise_max < 0:
@@ -164,28 +168,6 @@ class ScenarioConfig:
 
 # -- text format ----------------------------------------------------------------
 
-_INT_KEYS = (
-    "seed",
-    "epochs",
-    "registry_size",
-    "committee_size",
-    "quorum",
-    "value_min",
-    "value_max",
-    "value_base",
-    "value_walk_max",
-    "noise_max",
-    "adversary_count",
-    "fraud_period",
-    "governance_delay_epochs",
-)
-_FLOAT_KEYS = ("epoch_interval_s", "delta_net_min_s", "delta_net_max_s", "t_prove_s")
-_ETH_KEYS = {
-    "initial_stake_eth": "initial_stake_wei",
-    "min_stake_eth": "min_stake_wei",
-    "slash_cut_eth": "slash_cut_wei",
-}
-
 
 def _parse_governance_value(parameter: str, text: str) -> int:
     if parameter in ("s_cut", "S_min"):
@@ -220,9 +202,36 @@ def _parse_governance(text: str) -> tuple[GovernanceItem, ...]:
     return tuple(items)
 
 
+def _governance_text(items: tuple[GovernanceItem, ...]) -> str:
+    return ";".join(
+        f"{item.parameter}:{_governance_value_text(item.parameter, item.value)}@{item.at_epoch}"
+        for item in items
+    )
+
+
+def _parse_chains(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
+def _codec(f: Field) -> tuple[str, tuple[str, Callable[[str], Any], Callable[[Any], str]]]:
+    """(file key, (field name, parse, render)) for one ScenarioConfig field.
+    Amounts held in wei are written in ETH under a ``*_eth`` key."""
+    if f.name == "chains":
+        return f.name, (f.name, _parse_chains, ",".join)
+    if f.name == "governance":
+        return f.name, (f.name, _parse_governance, _governance_text)
+    if f.name.endswith("_wei"):
+        return f.name[: -len("_wei")] + "_eth", (f.name, eth_to_wei, wei_to_eth_text)
+    return f.name, (f.name, {"int": int, "float": float, "str": str}[f.type], str)
+
+
+# every file key in ScenarioConfig field order, the order canonical_text writes
+_KEYS = dict(map(_codec, fields(ScenarioConfig)))
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse the flat key = value format; unknown keys are errors."""
-    config = ScenarioConfig()
+    values: dict[str, Any] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -234,64 +243,29 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, parse, _ = _KEYS[key]
         try:
-            if key in _INT_KEYS:
-                config = replace(config, **{key: int(value)})
-            elif key in _FLOAT_KEYS:
-                config = replace(config, **{key: float(value)})
-            elif key in _ETH_KEYS:
-                config = replace(config, **{_ETH_KEYS[key]: eth_to_wei(value)})
-            elif key == "chains":
-                parts = tuple(c.strip() for c in value.split(",") if c.strip())
-                config = replace(config, chains=parts)
-            elif key == "adversary_behavior":
-                config = replace(config, adversary_behavior=value)
-            elif key == "governance":
-                config = replace(config, governance=_parse_governance(value))
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[name] = parse(value)
         except (ValueError, InvalidOperation) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return config
+    return ScenarioConfig(**values)
 
 
 def canonical_text(config: ScenarioConfig) -> str:
     """Full configuration echo, defaults included; parses back identically."""
-    governance = ";".join(
-        f"{item.parameter}:{_governance_value_text(item.parameter, item.value)}@{item.at_epoch}"
-        for item in config.governance
-    )
-    lines = [
-        "# effective scenario configuration (all keys explicit)",
-        f"seed = {config.seed}",
-        f"epochs = {config.epochs}",
-        f"epoch_interval_s = {config.epoch_interval_s}",
-        f"registry_size = {config.registry_size}",
-        f"committee_size = {config.committee_size}",
-        f"quorum = {config.quorum}",
-        f"value_min = {config.value_min}",
-        f"value_max = {config.value_max}",
-        f"value_base = {config.value_base}",
-        f"value_walk_max = {config.value_walk_max}",
-        f"noise_max = {config.noise_max}",
-        f"delta_net_min_s = {config.delta_net_min_s}",
-        f"delta_net_max_s = {config.delta_net_max_s}",
-        f"t_prove_s = {config.t_prove_s}",
-        f"chains = {','.join(config.chains)}",
-        f"adversary_behavior = {config.adversary_behavior}",
-        f"adversary_count = {config.adversary_count}",
-        f"fraud_period = {config.fraud_period}",
-        f"initial_stake_eth = {wei_to_eth_text(config.initial_stake_wei)}",
-        f"min_stake_eth = {wei_to_eth_text(config.min_stake_wei)}",
-        f"slash_cut_eth = {wei_to_eth_text(config.slash_cut_wei)}",
-        f"governance_delay_epochs = {config.governance_delay_epochs}",
-        f"governance = {governance}",
+    lines = ["# effective scenario configuration (all keys explicit)"]
+    lines += [
+        f"{key} = {render(getattr(config, name))}" for key, (name, _, render) in _KEYS.items()
     ]
     return "\n".join(lines) + "\n"
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)

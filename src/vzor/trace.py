@@ -504,6 +504,6 @@ def verify_trace_file(path: str) -> TraceCheck:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return TraceCheck(exit_code=2, problems=(f"cannot read trace: {exc}",))
     return verify_trace_text(text)

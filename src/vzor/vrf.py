@@ -8,10 +8,8 @@ value per (key, input) pair.  The construction is a stand-in with the
 standard VRF contract — determinism, uniqueness, verifiability — not an
 interchange-compatible ECVRF.
 
-Sortition follows the lowest-score rule by default: every reporter
-scores the epoch's entropy pulse, and the ``n`` smallest scores form the
-committee.  A threshold mode (score < q/n) is available as an alternate
-selection rule.
+Sortition follows the lowest-score rule: every reporter scores the
+epoch's entropy pulse, and the ``n`` smallest scores form the committee.
 """
 
 from __future__ import annotations
@@ -51,13 +49,12 @@ class ReporterIdentity:
 class ReporterSecret:
     """Signing half of a reporter; caches its signer and public identity."""
 
-    __slots__ = ("id", "seed", "_signer", "_identity")
+    __slots__ = ("id", "_signer", "_identity")
 
     def __init__(self, reporter_id: int, seed: bytes) -> None:
         if len(seed) != 32:
             raise ValueError("secret seed must be 32 bytes")
         self.id = reporter_id
-        self.seed = seed
         self._signer = sig.Signer(seed)
         self._identity = ReporterIdentity(reporter_id, self._signer.public_key)
 
@@ -133,16 +130,13 @@ def sortition_input(pulse_value: bytes, epoch: int) -> bytes:
 
 @dataclass(frozen=True)
 class SortitionParams:
-    """Committee size and selection rule."""
+    """Committee size: the number of lowest scores that form the committee."""
 
     committee_size: int = 15
-    mode: str = "lowest_n"  # or "threshold"
 
     def __post_init__(self) -> None:
         if self.committee_size < 1:
             raise ValueError("committee size must be >= 1")
-        if self.mode not in ("lowest_n", "threshold"):
-            raise ValueError(f"unknown sortition mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -187,26 +181,22 @@ def select_committee(
 ) -> Committee:
     """Draw the epoch committee from scored reporters.
 
-    lowest_n mode takes the ``n`` smallest scores (ties broken by smaller
-    id); threshold mode takes every score below q/n, so the committee size
-    may differ from ``n``.  Selected members' proofs are verified against
-    the sortition input; a failing proof raises UnverifiableScore.  Scores
-    that do not select their owner cannot change the outcome (an inflated
-    score only excludes its owner), so only selected proofs are checked.
+    Takes the ``n`` smallest scores, ties broken by smaller id, and raises
+    RegistryTooSmall when fewer than ``n`` reporters are scored.  Selected
+    members' proofs are verified against the sortition input; a failing
+    proof raises UnverifiableScore.  Scores that do not select their owner
+    cannot change the outcome (an inflated score only excludes its owner),
+    so only selected proofs are checked.
     """
     ids = [ident.id for ident, _ in scored]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate reporter ids in registry")
     ranked = sorted(scored, key=lambda m: (m[1].value, m[0].id))
-    if params.mode == "lowest_n":
-        if len(ranked) < params.committee_size:
-            raise RegistryTooSmall(
-                f"registry has {len(ranked)} reporters, committee needs {params.committee_size}"
-            )
-        selected = ranked[: params.committee_size]
-    else:
-        # value < q/n without rounding: value * n < q
-        selected = [m for m in ranked if m[1].value * params.committee_size < VRF_ORDER]
+    if len(ranked) < params.committee_size:
+        raise RegistryTooSmall(
+            f"registry has {len(ranked)} reporters, committee needs {params.committee_size}"
+        )
+    selected = ranked[: params.committee_size]
     message, input_digest = _vrf_message(sortition_input(pulse.value, epoch))
     for ident, out in selected:
         if not _verify(ident.public_key, message, input_digest, out):

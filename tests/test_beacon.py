@@ -5,14 +5,11 @@ from hypothesis import given, strategies as st
 
 from vzor.beacon import (
     BeaconParams,
-    Pulse,
     genesis,
     joint_entropy_lower_bound,
     make_chain,
     next_pulse,
-    read_chain,
     verify_chain,
-    write_chain,
 )
 from vzor.encoding import ZERO_DIGEST
 
@@ -83,18 +80,6 @@ def test_foreign_seed_rejected_only_with_params():
     assert verify_chain(foreign)  # internally consistent
     check = verify_chain(foreign, PARAMS)  # not from this seed
     assert not check
-
-
-def test_line_round_trip():
-    for pulse in make_chain(PARAMS, 3):
-        assert Pulse.from_line(pulse.to_line()) == pulse
-
-
-def test_file_round_trip(tmp_path):
-    chain = make_chain(PARAMS, 12)
-    path = str(tmp_path / "pulses.txt")
-    write_chain(chain, path)
-    assert read_chain(path) == chain
 
 
 def test_next_pulse_extends_verifiably():

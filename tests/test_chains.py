@@ -131,7 +131,6 @@ def test_charge_accumulates_by_operation():
     chain.charge(OP_FRAUD)
     chain.charge(OP_GOVERNANCE)
     assert chain.gas_by_op == {OP_FRAUD: 2 * 17_904, OP_GOVERNANCE: 11_706}
-    assert chain.total_gas == 2 * 17_904 + 11_706
 
 
 def test_finality_time_follows_block_time():

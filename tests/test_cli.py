@@ -91,6 +91,64 @@ def test_non_finite_and_sub_millisecond_times_exit_3(tmp_path, capsys, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
+I64_MAX = 2**63 - 1
+LIAR = "adversary_behavior = wrong_median_packet\nfraud_period = 1\n"
+
+
+@pytest.mark.parametrize(
+    "lines, code",
+    [
+        (f"value_min = {I64_MAX}\nvalue_max = {I64_MAX}\nvalue_base = {I64_MAX}\n" + LIAR, 3),
+        (f"value_max = {10**20}\nvalue_base = {10**19}\n", 3),
+        (f"value_min = {-(10**20)}\n", 3),
+        ("initial_stake_eth = inf\n", 2),
+        ("slash_cut_eth = Infinity\n", 2),
+        ("governance = s_cut:inf@1\n", 2),
+    ],
+    ids=["i64-max-liar", "value-max-1e20", "value-min-1e20", "stake-inf", "cut-infinity",
+         "governed-cut-inf"],
+)
+def test_out_of_range_values_exit_cleanly(tmp_path, capsys, lines, code):
+    config = _write(tmp_path, "scenario.txt", SMALL + lines)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_64_bit_value_edges_run_and_verify(tmp_path):
+    # the lying aggregator claims median + 1 = 2^63 - 1, the largest i64
+    edges = f"value_min = {-(2**63)}\nvalue_max = {I64_MAX - 1}\nvalue_base = {I64_MAX - 1}\n"
+    config = _write(tmp_path, "scenario.txt", SMALL + edges + LIAR)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert main(["verify-trace", str(out / "trace.txt")]) == 0
+    assert "slash_count = 10" in (out / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "line", [f"value_max = {10**20}", f"value_min = {-(10**20)}"], ids=["max-1e20", "min-1e20"]
+)
+def test_verify_trace_exit_2_on_out_of_range_config(run_dir, tmp_path, capsys, line):
+    text = (run_dir / "trace.txt").read_text()
+    key = line.split(" = ")[0]
+    recorded = next(row for row in text.split("\n") if row.startswith(key + " = "))
+    edited = _write(tmp_path, "edited.txt", text.replace(recorded, line, 1))
+    assert main(["verify-trace", edited]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_utf8_files_exit_2(run_dir, tmp_path, capsys):
+    config = tmp_path / "latin1.txt"
+    config.write_bytes(SMALL.encode() + b"# caf\xe9\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(config), "--out", out]) == 2
+    assert main(["sweep", "--config", str(config), "--param", "n", "--values", "5",
+                 "--out", out]) == 2
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes((run_dir / "trace.txt").read_bytes().replace(b"[end]", b"[\xff]"))
+    assert main(["verify-trace", str(trace)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_verify_trace_accepts_run_output(run_dir, capsys):
     assert main(["verify-trace", str(run_dir / "trace.txt")]) == 0
     assert "trace verified" in capsys.readouterr().out

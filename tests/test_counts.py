@@ -1,0 +1,101 @@
+"""Exact operation counts of short fixed-seed runs.
+
+Counts repeat exactly for a fixed scenario, so a change that adds crypto
+work, digests or events shows here as a changed number, not as noise in
+a wall-clock benchmark.  Each figure covers one whole `netsim.run`:
+setup (key generation, beacon, truth series) and the event loop.
+"""
+
+import functools
+import sys
+
+import pytest
+
+from vzor import encoding, netsim, sig
+from vzor.scenario import ScenarioConfig
+
+HONEST = ScenarioConfig(seed=3, epochs=6)
+FRAUD = ScenarioConfig(
+    seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2
+)
+
+# Per epoch: 65 signs (50 VRF proofs, 15 observations) and 60 memo hits
+# (15 committee VRF proofs, 15 observations at packet build and 15 witness
+# signatures on each of 2 chains); each slash adds the hub's 15 witness
+# checks.  No signature needs a real verify.
+EXPECTED = {
+    "honest": {
+        "signs": 390,
+        "real_verifies": 0,
+        "memo_hits": 360,
+        "digests": 1077,
+        "events": {
+            "_on_committee_draw": 6,
+            "_on_observation": 90,
+            "_on_packet_built": 6,
+            "_on_packet_delivered": 12,
+            "_on_pulse": 6,
+        },
+    },
+    "fraud": {
+        "signs": 390,
+        "real_verifies": 0,
+        "memo_hits": 405,
+        "digests": 1197,
+        "events": {
+            "_on_committee_draw": 6,
+            "_on_fraud_relayed": 6,
+            "_on_observation": 90,
+            "_on_packet_built": 6,
+            "_on_packet_delivered": 12,
+            "_on_pulse": 6,
+            "_on_slash_applied": 3,
+        },
+    },
+}
+
+
+def _count_run(config, monkeypatch):
+    monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
+    sig.reset()
+    counts = {"digests": 0, "events": {}}
+
+    def count_digest(fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            counts["digests"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def count_event(name, fn):
+        @functools.wraps(fn)
+        def wrapper(self, *args):
+            counts["events"][name] = counts["events"].get(name, 0) + 1
+            return fn(self, *args)
+
+        return wrapper
+
+    original = encoding.tagged_digest
+    # patch every vzor module that binds tagged_digest under its own name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vzor") and getattr(module, "tagged_digest", None) is original:
+            monkeypatch.setattr(module, "tagged_digest", count_digest(original))
+    for name, fn in list(vars(netsim.Simulator).items()):
+        if name.startswith("_on_"):
+            monkeypatch.setattr(netsim.Simulator, name, count_event(name, fn))
+    netsim.run(config)
+    done = sig.counters()
+    sig.reset()
+    return {
+        "signs": done.signs,
+        "real_verifies": done.real_verifies,
+        "memo_hits": done.memo_hits,
+        "digests": counts["digests"],
+        "events": dict(sorted(counts["events"].items())),
+    }
+
+
+@pytest.mark.parametrize("name, config", [("honest", HONEST), ("fraud", FRAUD)])
+def test_operation_counts_are_pinned(name, config, monkeypatch):
+    assert _count_run(config, monkeypatch) == EXPECTED[name]

@@ -1,9 +1,9 @@
 import dataclasses
 
-from vzor.chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
+from vzor.chains import OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
 from vzor.netsim import (
-    TimingModel,
     check_liveness,
+    latency_bound_ms,
     metrics,
     reporter_key_seed,
     run,
@@ -58,9 +58,7 @@ def test_committee_changes_across_epochs():
 
 
 def test_latency_bound_formula():
-    timing = TimingModel.from_scenario(ScenarioConfig())
-    chains = [CHAIN_PRESETS[name]() for name in ("sepolia", "scroll")]
-    assert timing.latency_bound_ms(chains) == 15_000 + 2_000 + 830 + 2_000
+    assert latency_bound_ms(ScenarioConfig()) == 15_000 + 2_000 + 830 + 2_000
 
 
 def test_honest_run_meets_liveness_bound():

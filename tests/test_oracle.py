@@ -15,7 +15,6 @@ from vzor.errors import (
 from vzor.oracle import (
     VALUE_SCALE,
     AggregationParams,
-    SignedObservation,
     median,
     sign_observation,
     verify_observation,
@@ -99,16 +98,6 @@ def test_verify_rejects_out_of_range_value(key_pool):
     obs = sign_observation(key_pool[0], -5, 0, wide)
     assert verify_observation(key_pool[0].public_key(), obs, wide)
     assert not verify_observation(key_pool[0].public_key(), obs, narrow)
-
-
-def test_observation_bytes_round_trip(key_pool, agg_params):
-    obs = sign_observation(key_pool[7], 42, 3, agg_params)
-    buf = obs.to_bytes()
-    assert len(buf) == SignedObservation.RECORD_BYTES == 88
-    assert SignedObservation.from_bytes(buf) == obs
-    with pytest.raises(ValueError):
-        SignedObservation.from_bytes(buf[:-1])
-    assert "reporter=7" in obs.to_text()
 
 
 def test_aggregation_params_validation():

@@ -10,7 +10,6 @@ from vzor.proofs import (
     Failure,
     InclusionProof,
     ProofObject,
-    VerifyResult,
     Witness,
     WitnessEntry,
     _leaf,
@@ -161,29 +160,6 @@ def test_prove_rejects_bad_signature_width(draw_committee, agg_params):
 
 
 # -- verify result formatting --------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "result",
-    [
-        VerifyResult(accepted=True),
-        VerifyResult(accepted=False, failure=Failure.MALFORMED),
-        VerifyResult(accepted=False, failure=Failure.BAD_SIGNATURE, culprit=3),
-        VerifyResult(accepted=False, failure=Failure.NON_MEMBER, culprit=4294967296),
-    ],
-)
-def test_reason_round_trip(result):
-    assert VerifyResult.from_reason(result.reason()) == result
-
-
-def test_from_reason_rejects_garbage():
-    with pytest.raises(ValueError):
-        VerifyResult.from_reason("NoSuchFailure")
-    with pytest.raises(ValueError):
-        VerifyResult.from_reason("BadSignature(x)")
-
-
-# -- verification stages -------------------------------------------------------
 
 
 def test_verify_accepts_honest_packet(make_packet, agg_params):

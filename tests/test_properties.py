@@ -1,15 +1,20 @@
-"""Property test: small valid scenarios run, verify and conserve stake.
+"""Property tests: small valid scenarios run, verify and conserve stake,
+and no config text makes the CLI raise.
 
 Slash cuts up to 1.5x the 32 ETH stake are drawn on purpose: they empty
 stakes mid-run, shrink the active set below the committee size, and make a
 cut take less than its full amount.
 """
 
+import os
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vzor import netsim
-from vzor.scenario import BEHAVIORS, ScenarioConfig
+from vzor.cli import SWEEPABLE, main
+from vzor.scenario import BEHAVIORS, ScenarioConfig, canonical_text
 from vzor.trace import render_trace, verify_trace_text
 
 ETH = 10**18
@@ -63,3 +68,63 @@ def test_lying_aggregator_scenarios_run_verify_and_conserve_stake(config):
     # every rejected packet slashes its signers, so these runs exercise
     # emptied stakes, partial cuts and epochs without a committee
     _check_run(config)
+
+
+# -- the config grammar, fuzzed through the CLI -----------------------------------
+
+# numeric edges, non-finite and odd spellings, empty, non-ASCII and non-UTF-8 text
+EXTREMES = (
+    str(-(2**63) - 1), str(-(2**63)), str(2**63 - 2), str(2**63 - 1), str(2**63),
+    str(2**64), str(10**20), str(-(10**20)), "nan", "inf", "-inf", "Infinity", "1e300",
+    "1_000", "0x10", "", "ünïcødé", "\udcff\udcfe",  # the last is the bytes ff fe
+)
+ORDINARY = ("0", "1", "2", "3", "0.5", "wrong_median_packet", "s_cut:0.3@1", "n:2@0")
+VALUES = st.one_of(st.sampled_from(EXTREMES), st.sampled_from(ORDINARY))
+# epochs and registry_size stay small so that examples run fast
+SMALL_RUN = {"epochs": "3", "registry_size": "6", "committee_size": "4", "quorum": "3"}
+FUZZED_KEYS = [
+    line.split(" = ")[0]
+    for line in canonical_text(ScenarioConfig()).splitlines()[1:]
+    if line.split(" = ")[0] not in ("epochs", "registry_size")
+] + ["kappa", "valuemax", "ключ"]
+
+
+def _run_config_lines(lines: list[tuple[str, str]]) -> int:
+    """`vzor run` on SMALL_RUN overridden by ``lines``; an exit 0 must verify."""
+    entries = dict(SMALL_RUN, **dict(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.txt")
+        with open(config, "wb") as handle:
+            text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+            handle.write(text.encode("utf-8", "surrogateescape"))
+        out = os.path.join(tmp, "out")
+        code = main(["run", "--config", config, "--out", out])
+        if code == 0:
+            assert main(["verify-trace", os.path.join(out, "trace.txt")]) == 0
+        return code
+
+
+def test_every_key_takes_every_extreme():
+    # one bad line ends parsing, so each (key, value) pair also runs alone
+    for key in FUZZED_KEYS:
+        for value in EXTREMES:
+            assert _run_config_lines([(key, value)]) in (0, 2, 3), (key, value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZED_KEYS), VALUES), min_size=1, max_size=3))
+def test_config_grammar_never_raises(lines):
+    assert _run_config_lines(lines) in (0, 2, 3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(SWEEPABLE)), st.lists(VALUES, min_size=1, max_size=3))
+def test_sweep_values_never_raise(parameter, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.txt")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write("".join(f"{k} = {v}\n" for k, v in SMALL_RUN.items()))
+        # "--values=" keeps argparse from reading a leading "-" as an option
+        argv = ["sweep", "--config", config, "--param", parameter,
+                "--values=" + ",".join(values), "--out", os.path.join(tmp, "sweep")]
+        assert main(argv) in (0, 2, 3)

@@ -100,20 +100,6 @@ def test_forged_low_score_is_caught(key_pool, pulses):
         select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
 
 
-def test_threshold_mode_draws_expected_band(key_pool, pulses):
-    params = SortitionParams(committee_size=15, mode="threshold")
-    sizes = []
-    for epoch in range(20):
-        scored = evaluate_registry(key_pool, pulses[epoch], epoch)
-        committee = select_committee(pulses[epoch], epoch, scored, params)
-        sizes.append(committee.size)
-        for _, out in committee.members:
-            assert out.value * 15 < VRF_ORDER
-    # each of the 50 reporters clears the q/15 threshold with prob 1/15
-    mean = sum(sizes) / len(sizes)
-    assert 1.5 < mean < 5.5
-
-
 def test_committee_digest_ignores_member_order(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[4], 4)
     committee = select_committee(pulses[4], 4, scored, SortitionParams(committee_size=15))
@@ -149,5 +135,3 @@ def test_prediction_bound_values():
 def test_sortition_params_validation():
     with pytest.raises(ValueError):
         SortitionParams(committee_size=0)
-    with pytest.raises(ValueError):
-        SortitionParams(mode="coin-flip")
