@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from typing import Optional, Union
 
 from .errors import (
@@ -30,6 +30,9 @@ from .proofs import InclusionProof, WitnessEntry, inclusion_proofs, verify, veri
 from .vrf import Committee
 
 WEI_PER_ETH = 10**18
+MAX_WEI = 2**256 - 1  # the largest amount a uint256 balance holds on chain
+# decimal arithmetic that never rounds: amounts convert and echo exactly
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 DEFAULT_MIN_STAKE = WEI_PER_ETH  # 1 ETH
 DEFAULT_SLASH_CUT = 15 * WEI_PER_ETH // 100  # 0.15 ETH
@@ -39,18 +42,21 @@ GOVERNED_PARAMETERS = ("f_min", "s_cut", "n", "S_min")
 
 
 def eth_to_wei(amount: Union[str, int, Decimal]) -> int:
-    """Exact ETH -> wei conversion; rejects sub-wei precision and non-finite amounts."""
-    quantity = Decimal(amount) * WEI_PER_ETH
+    """Exact ETH -> wei conversion; rejects non-finite amounts, sub-wei
+    precision and amounts above MAX_WEI."""
+    quantity = Decimal(amount)
     if not quantity.is_finite():
         raise ValueError(f"{amount} ETH is not a finite amount")
-    wei = int(quantity)
-    if wei != quantity:
+    wei = quantity.scaleb(18, _EXACT)
+    if wei.copy_abs() > MAX_WEI:
+        raise ValueError(f"{amount} ETH is more than 2**256 - 1 wei")
+    if wei != wei.to_integral_value(context=_EXACT):
         raise ValueError(f"{amount} ETH is not a whole number of wei")
-    return wei
+    return int(wei)
 
 
 def wei_to_eth_text(wei: int) -> str:
-    return str(Decimal(wei) / WEI_PER_ETH)
+    return str(_EXACT.divide(Decimal(wei), WEI_PER_ETH))
 
 
 @dataclass(frozen=True)

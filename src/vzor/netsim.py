@@ -20,9 +20,12 @@ one extra delta_net_max for the observation leg.
 from __future__ import annotations
 
 import heapq
+import io
 import math
+import os
 import random
 import statistics
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,11 +37,28 @@ from .hub import Hub, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
 from .scenario import ScenarioConfig, canonical_text
-from .vrf import Committee, ReporterSecret, SortitionParams, evaluate_registry, select_committee, vrf_keygen
+from .vrf import (
+    SIGNATURE_BYTES,
+    Committee,
+    ReporterSecret,
+    SortitionParams,
+    evaluate_registry,
+    select_committee,
+    sortition_message,
+    vrf_keygen,
+)
 
 _RNG_TAG = "VZOR/rng/v1"
 _KEYSEED_TAG = "VZOR/keyseed/v1"
 _BEACON_SEED_TAG = "VZOR/beacon-seed/v1"
+
+# Forking the VRF scorer and reaping it costs about 2.5 ms, the time of
+# about 60 Ed25519 signs at 44 us each, and the loop then waits for the
+# scorer's first epoch.  On a 2-core Xeon with the second core free, a
+# 50-reporter run broke even at 2 epochs (100 signs) and saved 20 of 62 ms
+# at 16 epochs; with that core busy, forked runs were about 10% slower.  A
+# run with fewer sortition signs (epochs x registry_size) scores in-process.
+SCORER_MIN_SIGNS = 1000
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -145,8 +165,87 @@ class _EpochState:
     slash: Optional[SlashInfo] = None
 
 
+class _Scorer:
+    """The registry's VRF proofs, signed ahead in one forked process.
+
+    A sortition proof is a pure function of (reporter key, pulse, epoch),
+    and every pulse exists before the event loop starts.  The first
+    committee draw forks a child that signs each epoch's sortition message
+    for every registered reporter and streams the 64-byte signatures, in
+    (epoch, reporter id) order, through a pipe; each later draw reads its
+    epoch's.  When forking is off or unsafe (other threads run), fails, or
+    the child dies or sends short data, :meth:`proofs` returns None and the
+    draw signs in-process, with the same result.  :meth:`close` stops and
+    reaps the child.
+    """
+
+    def __init__(self, secrets: list[ReporterSecret], pulses: list[Pulse], fork: bool) -> None:
+        self._secrets = secrets
+        self._pulses = pulses
+        self._unstarted = fork
+        self._pid = 0
+        self._pipe: Optional[io.BufferedReader] = None
+
+    def proofs(self, epoch: int) -> Optional[list[bytes]]:
+        """The epoch's proofs indexed by reporter id; draws come in epoch order."""
+        if self._unstarted:
+            self._unstarted = False
+            self._start(epoch)
+        if self._pipe is None:
+            return None
+        size = SIGNATURE_BYTES * len(self._secrets)
+        data = self._pipe.read(size)
+        if len(data) != size:
+            self.close()
+            return None
+        return [data[i : i + SIGNATURE_BYTES] for i in range(0, size, SIGNATURE_BYTES)]
+
+    def _start(self, first_epoch: int) -> None:
+        if threading.active_count() > 1:
+            return  # the child could block forever on a lock another thread held
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            return
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as out:
+                    for epoch in range(first_epoch, len(self._pulses)):
+                        message, _ = sortition_message(self._pulses[epoch], epoch)
+                        out.write(b"".join(s.sign(message) for s in self._secrets))
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)  # never return into the parent's code
+        os.close(write_fd)
+        self._pid = pid
+        self._pipe = open(read_fd, "rb")
+
+    def close(self) -> None:
+        self._unstarted = False
+        if self._pipe is not None:
+            self._pipe.close()
+            self._pipe = None
+            os.kill(self._pid, 9)  # SIGKILL; importing signal adds 128 KiB to peak RSS
+            os.waitpid(self._pid, 0)
+
+
 class Simulator:
-    """Single-threaded event loop owning every protocol state machine."""
+    """Single-threaded event loop owning every protocol state machine.
+
+    Beside the loop, a run with at least SCORER_MIN_SIGNS sortition signs
+    makes its VRF proofs ahead in one forked scorer process (see
+    ``_Scorer``).  :meth:`run` reaps it; a caller that drives the loop with
+    :meth:`advance_to` calls :meth:`close` when done.
+    """
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
@@ -160,6 +259,9 @@ class Simulator:
 
         beacon_seed = tagged_digest(_BEACON_SEED_TAG, be_u64(config.seed))
         self.pulses = make_chain(BeaconParams(seed=beacon_seed), config.epochs)
+        self._scorer = _Scorer(
+            self.secrets, self.pulses, fork=config.epochs * config.registry_size >= SCORER_MIN_SIGNS
+        )
 
         self._rng_walk = _stream(config.seed, "walk")
         self._rng_noise = _stream(config.seed, "noise")
@@ -234,8 +336,15 @@ class Simulator:
             handler(*args)
 
     def run(self) -> RunTrace:
-        self.advance_to(math.inf)
+        try:
+            self.advance_to(math.inf)
+        finally:
+            self.close()
         return self._finalize()
+
+    def close(self) -> None:
+        """Stop and reap the scorer process; safe to call more than once."""
+        self._scorer.close()
 
     def _on_pulse(self, epoch: int) -> None:
         self._states[epoch] = _EpochState(pulse=self.pulses[epoch])
@@ -246,7 +355,7 @@ class Simulator:
         governed = self.hub.effective_params(epoch)
         state.agg = self.config.aggregation_params(governed)
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
-        scored = evaluate_registry(active, state.pulse, epoch)
+        scored = evaluate_registry(active, state.pulse, epoch, self._scorer.proofs(epoch))
         try:
             state.committee = select_committee(
                 state.pulse, epoch, scored, SortitionParams(committee_size=governed.n)

@@ -3,12 +3,16 @@
 Every signature the simulator makes or checks goes through this module.
 Verdicts are remembered in a bounded FIFO memo keyed on the exact
 ``(public_key, message, signature)`` bytes.  An entry comes from one of
-two places only:
+three places only:
 
 * a real verify, stored with its verdict, true or false;
 * the in-process :class:`Signer`, stored as true.  RFC 8032 signing is
   deterministic and the signer derives its public key from its own
-  private key, so its signature always verifies under that key.
+  private key, so its signature always verifies under that key;
+* :func:`record_own`, stored as true: a signature made by one of the
+  run's own keys in the simulator's forked VRF scorer process and read
+  back from its pipe.  The real-verify mode below stores nothing, so
+  there every such signature is still checked for real when it is used.
 
 A lookup with any other key, message or signature misses the memo and
 falls through to a real verify, so the memo never changes a verdict: it
@@ -23,7 +27,8 @@ genuine witness signature is a memo hit and only a forged or altered one
 costs a real verify.
 
 The module counts signs, real verifies and memo hits; :func:`counters`
-returns a snapshot.
+returns a snapshot.  A signature recorded with :func:`record_own` counts
+as a sign, so the counts do not depend on which process signed.
 """
 
 from __future__ import annotations
@@ -85,10 +90,16 @@ class Signer:
     def sign(self, message: bytes) -> bytes:
         message = bytes(message)
         signature = self._key.sign(message)
-        _counters.signs += 1
-        if _memo_enabled:
-            _remember((self.public_key, message, signature), True)
+        record_own(self.public_key, message, signature)
         return signature
+
+
+def record_own(public_key: bytes, message: bytes, signature: bytes) -> None:
+    """Count a signature the run made with its own key ``public_key`` and
+    remember it as valid."""
+    _counters.signs += 1
+    if _memo_enabled:
+        _remember((public_key, message, signature), True)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

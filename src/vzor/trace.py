@@ -467,14 +467,20 @@ def verify_trace_text(text: str) -> TraceCheck:
 
     hub = netsim.governed_hub(config)
     ledger = (expected_initial, 0)
-    for epoch, lines in parsed.epochs:
-        block = _decode_block(epoch, lines)
-        if isinstance(block, str):
-            problems.append(f"epoch {epoch}: {block}")
-            continue
-        if replay is not None and not problems:
-            replay.advance_to(replay.packet_built_ms(epoch))
-        ledger = _check_epoch_block(block, config, hub, ledger, problems)
+    try:
+        for epoch, lines in parsed.epochs:
+            block = _decode_block(epoch, lines)
+            if isinstance(block, str):
+                problems.append(f"epoch {epoch}: {block}")
+                continue
+            if replay is not None and not problems:
+                replay.advance_to(replay.packet_built_ms(epoch))
+            ledger = _check_epoch_block(block, config, hub, ledger, problems)
+    finally:
+        # reap the replay's scorer: the loop has passed every committee
+        # draw, or the replay stops here
+        if replay is not None:
+            replay.close()
     if ledger[1] != hub.ledger.burned_total:
         problems.append(
             f"trace burns {ledger[1]} wei, its slashes burn {hub.ledger.burned_total}"

@@ -15,6 +15,7 @@ epoch's entropy pulse, and the ``n`` smallest scores form the committee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import sig
 from .beacon import Pulse
@@ -96,8 +97,7 @@ def _vrf_message(input_bytes: bytes) -> tuple[bytes, bytes]:
     return domain_message(_VRF_SIGN_TAG, input_bytes), tagged_digest(_VRF_INPUT_TAG, input_bytes)
 
 
-def _evaluate(secret: ReporterSecret, message: bytes, input_digest: bytes) -> VrfOutput:
-    proof = secret.sign(message)
+def _output(proof: bytes, input_digest: bytes) -> VrfOutput:
     return VrfOutput(value=_output_value(proof, input_digest), proof=proof, input_digest=input_digest)
 
 
@@ -115,7 +115,8 @@ def vrf_evaluate(secret: ReporterSecret, input_bytes: bytes) -> VrfOutput:
     """Score an input: sign the domain-separated message, hash to a value."""
     if not input_bytes:
         raise ValueError("VRF input must be non-empty")
-    return _evaluate(secret, *_vrf_message(input_bytes))
+    message, input_digest = _vrf_message(input_bytes)
+    return _output(secret.sign(message), input_digest)
 
 
 def vrf_verify(public_key: bytes, input_bytes: bytes, out: VrfOutput) -> bool:
@@ -165,12 +166,34 @@ class Committee:
         return tagged_digest(_COMMITTEE_TAG, *parts)
 
 
+def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
+    """(signed message, input digest) of the epoch's committee draw."""
+    return _vrf_message(sortition_input(pulse.value, epoch))
+
+
 def evaluate_registry(
-    secrets: list[ReporterSecret], pulse: Pulse, epoch: int
+    secrets: list[ReporterSecret],
+    pulse: Pulse,
+    epoch: int,
+    proofs: Optional[Sequence[bytes]] = None,
 ) -> list[tuple[ReporterIdentity, VrfOutput]]:
-    """Score every reporter against the epoch's sortition input."""
-    message, input_digest = _vrf_message(sortition_input(pulse.value, epoch))
-    return [(s.identity(), _evaluate(s, message, input_digest)) for s in secrets]
+    """Score every reporter against the epoch's sortition input.
+
+    ``proofs``, when given, holds the epoch's proof of every registered
+    reporter, indexed by id, signed ahead with the same keys in another
+    process; each is recorded with :func:`sig.record_own` instead of being
+    signed again.
+    """
+    message, input_digest = sortition_message(pulse, epoch)
+    scored = []
+    for s in secrets:
+        if proofs is None:
+            proof = s.sign(message)
+        else:
+            proof = proofs[s.id]
+            sig.record_own(s.public_key(), message, proof)
+        scored.append((s.identity(), _output(proof, input_digest)))
+    return scored
 
 
 def select_committee(
@@ -197,7 +220,7 @@ def select_committee(
             f"registry has {len(ranked)} reporters, committee needs {params.committee_size}"
         )
     selected = ranked[: params.committee_size]
-    message, input_digest = _vrf_message(sortition_input(pulse.value, epoch))
+    message, input_digest = sortition_message(pulse, epoch)
     for ident, out in selected:
         if not _verify(ident.public_key, message, input_digest, out):
             raise UnverifiableScore(f"reporter {ident.id} offered an unverifiable score")

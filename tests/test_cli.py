@@ -104,14 +104,27 @@ LIAR = "adversary_behavior = wrong_median_packet\nfraud_period = 1\n"
         ("initial_stake_eth = inf\n", 2),
         ("slash_cut_eth = Infinity\n", 2),
         ("governance = s_cut:inf@1\n", 2),
+        ("slash_cut_eth = 1E+999999\n", 2),
     ],
     ids=["i64-max-liar", "value-max-1e20", "value-min-1e20", "stake-inf", "cut-infinity",
-         "governed-cut-inf"],
+         "governed-cut-inf", "cut-above-uint256"],
 )
 def test_out_of_range_values_exit_cleanly(tmp_path, capsys, lines, code):
     config = _write(tmp_path, "scenario.txt", SMALL + lines)
     assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eth_amounts_beyond_28_digits_convert_and_echo_exactly(tmp_path):
+    # 29 significant digits of wei: one more than the default decimal context holds
+    amount = "12345678901.234567890123456789"
+    config = _write(tmp_path, "scenario.txt", SMALL + f"slash_cut_eth = {amount}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    echo = (out / "config.txt").read_text()
+    assert f"slash_cut_eth = {amount}\n" in echo
+    assert parse_config(echo).slash_cut_wei == 12345678901234567890123456789
+    assert main(["verify-trace", str(out / "trace.txt")]) == 0
 
 
 def test_64_bit_value_edges_run_and_verify(tmp_path):

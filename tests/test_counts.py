@@ -7,12 +7,14 @@ setup (key generation, beacon, truth series) and the event loop.
 """
 
 import functools
+import os
 import sys
 
 import pytest
 
 from vzor import encoding, netsim, sig
 from vzor.scenario import ScenarioConfig
+from vzor.trace import render_trace, verify_trace_text
 
 HONEST = ScenarioConfig(seed=3, epochs=6)
 FRAUD = ScenarioConfig(
@@ -99,3 +101,20 @@ def _count_run(config, monkeypatch):
 @pytest.mark.parametrize("name, config", [("honest", HONEST), ("fraud", FRAUD)])
 def test_operation_counts_are_pinned(name, config, monkeypatch):
     assert _count_run(config, monkeypatch) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name, config", [("honest", HONEST), ("fraud", FRAUD)])
+def test_forked_scorer_gives_the_pinned_counts_and_trace(name, config, monkeypatch):
+    # these runs are below SCORER_MIN_SIGNS and score in-process; with the
+    # constant at 0 they sign their VRF proofs in a forked scorer instead
+    in_process = render_trace(netsim.run(config))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 0)
+    assert _count_run(config, monkeypatch) == EXPECTED[name]
+    assert len(forks) == 1
+    text = render_trace(netsim.run(config))
+    assert text == in_process
+    assert verify_trace_text(text).exit_code == 0
+    assert len(forks) == 3  # the second run and the replay fork one scorer each

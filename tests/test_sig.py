@@ -1,9 +1,12 @@
 """The Ed25519 seam: a memoised verdict holds only for its exact bytes."""
 
+import os
+
 import pytest
 
-from vzor import sig
+from vzor import netsim, sig
 from vzor.cli import main
+from vzor.errors import UnverifiableScore
 from vzor.netsim import run
 from vzor.scenario import ScenarioConfig
 
@@ -111,17 +114,40 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
     config.write_text(FRAUD)
     outputs = {}
     counts = {}
-    for mode in ("memo", "real"):
-        if mode == "real":
-            monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
-        sig.reset()
-        out = tmp_path / mode
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        outputs[mode] = (out / "trace.txt").read_bytes()
-        counts[mode] = sig.counters()
-        assert "slash_count = 3" in (out / "metrics.txt").read_text()
-    assert outputs["memo"] == outputs["real"]
-    memo, real = counts["memo"], counts["real"]
-    assert memo.memo_hits > 0 and real.memo_hits == 0
-    assert memo.signs == real.signs
-    assert memo.memo_hits + memo.real_verifies == real.real_verifies
+    # in-process scoring first, then a forked scorer for the same run
+    for scoring, min_signs in (("in-process", netsim.SCORER_MIN_SIGNS), ("forked", 0)):
+        monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", min_signs)
+        for mode in ("memo", "real"):
+            if mode == "real":
+                monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
+            else:
+                monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
+            sig.reset()
+            out = tmp_path / scoring / mode
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            outputs[scoring, mode] = (out / "trace.txt").read_bytes()
+            counts[scoring, mode] = sig.counters()
+            assert "slash_count = 3" in (out / "metrics.txt").read_text()
+    assert len(set(outputs.values())) == 1
+    for scoring in ("in-process", "forked"):
+        memo, real = counts[scoring, "memo"], counts[scoring, "real"]
+        assert memo.memo_hits > 0 and real.memo_hits == 0
+        assert memo.signs == real.signs
+        assert memo.memo_hits + memo.real_verifies == real.real_verifies
+    # the real-verify mode checks every proof the scorer sent, as it checks
+    # the proofs signed in-process
+    assert counts["forked", "real"] == counts["in-process", "real"]
+
+
+def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):
+    # a scorer that signs the wrong message sends proofs that do not verify;
+    # the memo trusts them as the run's own, a real verify does not
+    message = netsim.sortition_message
+    monkeypatch.setattr(netsim, "sortition_message", lambda p, e: (message(p, e)[0] + b"!", b""))
+    monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 0)
+    monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
+    sig.reset()
+    with pytest.raises(UnverifiableScore):
+        run(ScenarioConfig(seed=3, epochs=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
