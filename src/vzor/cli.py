@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, verify traces, sweep parameters.
 
-Exit codes: 0 success; 2 config parse error or trace corruption;
-3 scenario validation error, unknown sweep parameter, or empty sweep;
-4 trace outcome mismatch.
+Exit codes: 0 success; 2 config parse error, trace corruption, or outputs
+that cannot be written; 3 scenario validation error, unknown sweep
+parameter, or empty sweep; 4 trace outcome mismatch.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ def _write_run_outputs(run_trace: netsim.RunTrace, out_dir: str) -> None:
     _atomic_write(os.path.join(out_dir, "metrics.txt"), summary.to_text())
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"cannot write outputs: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_run(config_path: Optional[str], out_dir: str, seed: Optional[int]) -> int:
     try:
         config = _load_scenario(config_path, seed)
@@ -67,7 +72,10 @@ def cmd_run(config_path: Optional[str], out_dir: str, seed: Optional[int]) -> in
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _write_run_outputs(run_trace, out_dir)
+    try:
+        _write_run_outputs(run_trace, out_dir)
+    except OSError as exc:
+        return _cannot_write(exc)
     summary = netsim.metrics(run_trace)
     print(f"ran {summary.epochs} epochs, {summary.accepted_epochs} accepted, "
           f"{summary.slash_count} slash events")
@@ -112,60 +120,63 @@ def cmd_sweep(
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    chains = tuple(base.chains)
-    for value in values:
-        config = replace(base, **{field: value})
-        if parameter == "delta_net":
-            config = replace(
-                config, delta_net_min_s=min(config.delta_net_min_s, float(value))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        rows = []
+        chains = tuple(base.chains)
+        for value in values:
+            config = replace(base, **{field: value})
+            if parameter == "delta_net":
+                config = replace(
+                    config, delta_net_min_s=min(config.delta_net_min_s, float(value))
+                )
+            try:
+                config.validate()
+                run_trace = netsim.run(config)
+            except InvalidScenario as exc:
+                print(f"invalid scenario at {parameter}={value}: {exc}", file=sys.stderr)
+                return EXIT_INVALID
+            _write_run_outputs(run_trace, os.path.join(out_dir, f"{parameter}_{value}"))
+            summary = netsim.metrics(run_trace)
+            liveness = netsim.check_liveness(run_trace)
+            gas_by_chain = {c: 0 for c in chains}
+            for chain_id, _, total in summary.gas_totals:
+                gas_by_chain[chain_id] += total
+            rows.append(
+                [
+                    parameter,
+                    str(value),
+                    str(summary.epochs),
+                    str(summary.accepted_epochs),
+                    str(summary.throughput_pps),
+                    "" if summary.mean_e2e_s is None else str(summary.mean_e2e_s),
+                    "" if summary.stdev_e2e_s is None else str(summary.stdev_e2e_s),
+                    str(summary.slash_count),
+                    ""
+                    if summary.mean_slash_latency_s is None
+                    else str(summary.mean_slash_latency_s),
+                    str(len(liveness.violations)),
+                ]
+                + [str(gas_by_chain[c]) for c in chains]
             )
-        try:
-            config.validate()
-            run_trace = netsim.run(config)
-        except InvalidScenario as exc:
-            print(f"invalid scenario at {parameter}={value}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        _write_run_outputs(run_trace, os.path.join(out_dir, f"{parameter}_{value}"))
-        summary = netsim.metrics(run_trace)
-        liveness = netsim.check_liveness(run_trace)
-        gas_by_chain = {c: 0 for c in chains}
-        for chain_id, _, total in summary.gas_totals:
-            gas_by_chain[chain_id] += total
-        rows.append(
-            [
-                parameter,
-                str(value),
-                str(summary.epochs),
-                str(summary.accepted_epochs),
-                str(summary.throughput_pps),
-                "" if summary.mean_e2e_s is None else str(summary.mean_e2e_s),
-                "" if summary.stdev_e2e_s is None else str(summary.stdev_e2e_s),
-                str(summary.slash_count),
-                ""
-                if summary.mean_slash_latency_s is None
-                else str(summary.mean_slash_latency_s),
-                str(len(liveness.violations)),
-            ]
-            + [str(gas_by_chain[c]) for c in chains]
-        )
-        print(f"{parameter}={value}: {summary.accepted_epochs}/{summary.epochs} accepted")
+            print(f"{parameter}={value}: {summary.accepted_epochs}/{summary.epochs} accepted")
 
-    header = [
-        "param",
-        "value",
-        "epochs",
-        "accepted_epochs",
-        "throughput_pps",
-        "mean_e2e_s",
-        "stdev_e2e_s",
-        "slash_count",
-        "mean_slash_latency_s",
-        "liveness_violations",
-    ] + [f"gas_{c}" for c in chains]
-    csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    _atomic_write(os.path.join(out_dir, "sweep.csv"), csv_text)
+        header = [
+            "param",
+            "value",
+            "epochs",
+            "accepted_epochs",
+            "throughput_pps",
+            "mean_e2e_s",
+            "stdev_e2e_s",
+            "slash_count",
+            "mean_slash_latency_s",
+            "liveness_violations",
+        ] + [f"gas_{c}" for c in chains]
+        csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+        _atomic_write(os.path.join(out_dir, "sweep.csv"), csv_text)
+    except OSError as exc:
+        return _cannot_write(exc)
     print(f"sweep table written to {os.path.join(out_dir, 'sweep.csv')}")
     return EXIT_OK
 

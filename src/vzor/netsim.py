@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import io
-import math
 import os
 import random
 import statistics
@@ -230,7 +229,6 @@ class _Scorer:
         self._pipe = open(read_fd, "rb")
 
     def close(self) -> None:
-        self._unstarted = False
         if self._pipe is not None:
             self._pipe.close()
             self._pipe = None
@@ -243,8 +241,8 @@ class Simulator:
 
     Beside the loop, a run with at least SCORER_MIN_SIGNS sortition signs
     makes its VRF proofs ahead in one forked scorer process (see
-    ``_Scorer``).  :meth:`run` reaps it; a caller that drives the loop with
-    :meth:`advance_to` calls :meth:`close` when done.
+    ``_Scorer``).  :meth:`run` drains the loop and reaps the scorer, also
+    when a handler raises.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -320,31 +318,17 @@ class Simulator:
     def _t0(self, epoch: int) -> int:
         return epoch * self.config.epoch_interval_ms
 
-    def packet_built_ms(self, epoch: int) -> int:
-        """When the epoch's packet is built: observations close at the
-        delta_net_max deadline and proving takes t_prove."""
-        return self._t0(epoch) + self.config.delta_net_max_ms + self.config.t_prove_ms
-
     # -- event loop ---------------------------------------------------------------
 
-    def advance_to(self, until_ms: float) -> None:
-        """Fire every scheduled event up to and including ``until_ms``, in
-        the order a full run fires them."""
-        heap = self._heap
-        while heap and heap[0][0] <= until_ms:
-            self._now, _, handler, args = heapq.heappop(heap)
-            handler(*args)
-
     def run(self) -> RunTrace:
+        heap = self._heap
         try:
-            self.advance_to(math.inf)
+            while heap:
+                self._now, _, handler, args = heapq.heappop(heap)
+                handler(*args)
         finally:
-            self.close()
+            self._scorer.close()
         return self._finalize()
-
-    def close(self) -> None:
-        """Stop and reap the scorer process; safe to call more than once."""
-        self._scorer.close()
 
     def _on_pulse(self, epoch: int) -> None:
         self._states[epoch] = _EpochState(pulse=self.pulses[epoch])
@@ -374,7 +358,9 @@ class Simulator:
                 value = self._clamp(self.truth[epoch] + noise)
             arrival = t0 + self._delay(self._rng_obs_delay)
             self._push(arrival, self._on_observation, epoch, rid, value)
-        self._push(self.packet_built_ms(epoch), self._on_packet_built, epoch)
+        # observations close at the delta_net_max deadline; proving takes t_prove
+        built = t0 + self.config.delta_net_max_ms + self.config.t_prove_ms
+        self._push(built, self._on_packet_built, epoch)
 
     def _on_observation(self, epoch: int, reporter_id: int, value: int) -> None:
         state = self._states[epoch]

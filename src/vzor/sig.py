@@ -21,10 +21,10 @@ only skips repeated work.  Setting the environment variable
 (no lookups, no new entries), so every check is a real verify.  The
 variable is read at import and again by :func:`reset`.
 
-``vzor verify-trace`` leans on the signer's entries: it checks each epoch
-block right after its deterministic replay has re-signed that epoch, so a
-genuine witness signature is a memo hit and only a forged or altered one
-costs a real verify.
+``vzor verify-trace`` checks a trace before it replays it, so its memo
+hits come only from the replay's own re-checks of signatures it has just
+made.  A trace identical to the replay needs no further verify; only the
+packets of blocks that differ from the replay are verified again.
 
 The module counts signs, real verifies and memo hits; :func:`counters`
 returns a snapshot.  A signature recorded with :func:`record_own` counts

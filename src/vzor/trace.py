@@ -5,7 +5,8 @@ echo, governance records, then one block per epoch with the pulse
 digest, committee keys, full packet bytes, per-chain receipts, latency,
 and ledger totals.  It carries everything needed to re-check the run:
 packets re-verify from the committee keys alone, and the embedded
-config reproduces the entire simulation.
+config reproduces the entire simulation.  Verification checks every
+block first and replays the config only for a trace that passes.
 
 Verification distinguishes two failure classes.  File-level damage
 (missing header, broken section structure, unreadable config) is
@@ -247,7 +248,6 @@ _BLOCK_KINDS = (
 class _Block:
     """One epoch block, decoded but not yet checked."""
 
-    epoch: int
     committee: Optional[Committee]  # None: no committee could be drawn
     packet: Optional[OraclePacket]
     median: Optional[int]
@@ -261,17 +261,17 @@ def _int_or_none(text: str) -> Optional[int]:
     return None if text == "none" else int(text)
 
 
-def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block | str:
-    """Decode one epoch block, or say why it cannot be decoded."""
+def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block:
+    """Decode one epoch block; ValueError says why it cannot be decoded."""
     lines: dict[str, list[str]] = {kind: [] for kind in _BLOCK_KINDS}
     for line in block:
         kind = line.split(" ", 1)[0]
         if kind not in lines:
-            return f"unexpected line {line!r}"
+            raise ValueError(f"unexpected line {line!r}")
         lines[kind].append(line)
     for kind in _BLOCK_KINDS:
         if kind != "receipt" and len(lines[kind]) != 1:
-            return f"expected exactly one {kind} line"
+            raise ValueError(f"expected exactly one {kind} line")
 
     def body(kind: str) -> str:
         return lines[kind][0][len(kind) + 1 :]
@@ -316,7 +316,6 @@ def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block | str:
             )
         ledger = _fields(lines["ledger"][0], "ledger ")
         return _Block(
-            epoch=epoch,
             committee=committee,
             packet=packet,
             median=_int_or_none(body("median")),
@@ -326,23 +325,31 @@ def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block | str:
             ledger=(int(ledger["total"]), int(ledger["burned"])),
         )
     except (ValueError, KeyError) as exc:
-        return f"unreadable record: {exc}"
+        raise ValueError(f"unreadable record: {exc}") from exc
 
 
-def _check_epoch_block(
-    block: _Block,
+def _check_block(
+    epoch: int,
+    lines: tuple[str, ...],
     config: ScenarioConfig,
     hub: Hub,
     prev_ledger: tuple[int, int],
     problems: list[str],
 ) -> tuple[int, int]:
-    """Re-derive one decoded epoch's outcomes; returns its ledger totals.
-    Each slash it accepts is applied to ``hub``'s stake ledger."""
-    epoch, packet, slash = block.epoch, block.packet, block.slash
+    """Decode one epoch block and re-derive every outcome that needs no
+    signature verdict; returns its ledger totals.  A rejection is read from
+    the recorded receipts, and each slash it accepts is applied to
+    ``hub``'s stake ledger."""
 
     def flag(why: str) -> None:
         problems.append(f"epoch {epoch}: {why}")
 
+    try:
+        block = _decode_block(epoch, lines)
+    except ValueError as exc:
+        flag(str(exc))
+        return prev_ledger
+    packet, slash = block.packet, block.slash
     governed = hub.effective_params(epoch)
     if packet is None:
         if block.median is not None:
@@ -352,14 +359,12 @@ def _check_epoch_block(
     elif block.median != packet.median:
         flag(f"median line {block.median} does not match packet {packet.median}")
 
-    result = None
     receipts = []
     if packet is not None and block.committee is None:
         flag("packet recorded without a committee")
     elif packet is not None:
         if packet.epoch != epoch:
             flag(f"packet bound to epoch {packet.epoch}")
-        result = verify(packet, block.committee, config.aggregation_params(governed))
         if len(block.receipts) != len(config.chains):
             flag(f"expected {len(config.chains)} receipts, found {len(block.receipts)}")
         for receipt in block.receipts:
@@ -368,16 +373,6 @@ def _check_epoch_block(
                 flag(f"receipt for unknown chain {chain_id!r}")
                 continue
             gas = CHAIN_PRESETS[chain_id]().gas_table[OP_VERIFY]
-            if receipt.accepted != result.accepted:
-                flag(
-                    f"chain {chain_id} recorded accepted={int(receipt.accepted)} "
-                    f"but replay says {result.reason()}"
-                )
-            if receipt.reason != result.reason():
-                flag(
-                    f"chain {chain_id} recorded reason {receipt.reason!r} "
-                    f"but replay says {result.reason()!r}"
-                )
             if receipt.gas_used != gas:
                 flag(f"chain {chain_id} recorded gas {receipt.gas_used}, model says {gas}")
             if receipt.block < 1:
@@ -391,7 +386,7 @@ def _check_epoch_block(
     elif block.e2e_ms is not None:
         flag("e2e recorded for an epoch without full acceptance")
 
-    if result is not None and not result.accepted:
+    if any(not receipt.accepted for receipt in receipts):
         if slash is None:
             flag("rejected packet but no slash record")
         else:
@@ -421,21 +416,22 @@ def _check_epoch_block(
 
 
 def verify_trace_text(text: str) -> TraceCheck:
-    """Replay and cross-check a trace in one pass.
+    """Check a trace, then replay it.
 
-    Every epoch block is decoded first.  A deterministic replay of the
-    embedded config then starts, and each block is checked as soon as the
-    replay has built that epoch's packet: the packet re-verifies against
-    its recorded committee, and receipts, latency, slashing and stake
-    conservation are re-derived from the block.  The replay has just
-    re-signed the epoch's observations, so a genuine witness signature is
-    a verdict-memo hit; a forged or altered one misses and is verified for
-    real.  Last, the drained replay is rendered and compared with the trace
-    byte for byte, which catches any divergence in timing or bookkeeping.
+    Each epoch block is decoded once and every outcome that needs no
+    signature verdict is re-derived: packet binding and median, receipt
+    gas and heights, latency, slashing and stake conservation, with a
+    rejection read from the recorded receipts.  Any problem exits 4 with
+    no replay.  Otherwise :func:`netsim.run` replays the embedded config,
+    and the trace is accepted only if the replay renders to the same
+    bytes: the replay's chains verified exactly those packets against
+    exactly those committees, so no packet is verified a second time.
 
-    A trace with a header problem or an undecodable block gets no replay,
-    and the replay stops at the first problem; every block is still
-    checked, the rest with real signature verifies.
+    When the bytes differ, only the blocks that differ from the replay's
+    are decoded again, and each one's packet is re-verified against its
+    recorded committee, so an altered signature is reported with its epoch
+    and verdict.  If every verdict matches its receipts, the first
+    diverging line is reported.
     """
     try:
         parsed = parse_trace(text)
@@ -460,50 +456,50 @@ def verify_trace_text(text: str) -> TraceCheck:
             f"but config says 0..{config.epochs - 1}"
         )
 
-    # decoded blocks are not kept: holding every packet at once costs more
-    # memory than decoding each block a second time when it is checked
-    decodes = all(not isinstance(_decode_block(*item), str) for item in parsed.epochs)
-    replay = netsim.Simulator(config) if decodes and not problems else None
-
     hub = netsim.governed_hub(config)
     ledger = (expected_initial, 0)
-    try:
-        for epoch, lines in parsed.epochs:
-            block = _decode_block(epoch, lines)
-            if isinstance(block, str):
-                problems.append(f"epoch {epoch}: {block}")
-                continue
-            if replay is not None and not problems:
-                replay.advance_to(replay.packet_built_ms(epoch))
-            ledger = _check_epoch_block(block, config, hub, ledger, problems)
-    finally:
-        # reap the replay's scorer: the loop has passed every committee
-        # draw, or the replay stops here
-        if replay is not None:
-            replay.close()
+    for epoch, lines in parsed.epochs:
+        ledger = _check_block(epoch, lines, config, hub, ledger, problems)
     if ledger[1] != hub.ledger.burned_total:
         problems.append(
             f"trace burns {ledger[1]} wei, its slashes burn {hub.ledger.burned_total}"
         )
-
-    if not problems:
-        regenerated = render_trace(replay.run())
-        if regenerated != parsed.text:
-            new_lines = regenerated.split("\n")
-            old_lines = parsed.text.split("\n")
-            for k, (a, b) in enumerate(zip(old_lines, new_lines)):
-                if a != b:
-                    problems.append(
-                        f"line {k + 1} diverges from deterministic replay: "
-                        f"recorded {a!r}, replay {b!r}"
-                    )
-                    break
-            else:
-                problems.append("trace length diverges from deterministic replay")
-
     if problems:
         return TraceCheck(exit_code=4, problems=tuple(problems))
-    return TraceCheck(exit_code=0, problems=())
+
+    regenerated = render_trace(netsim.run(config))
+    if regenerated == parsed.text:
+        return TraceCheck(exit_code=0, problems=())
+
+    for (epoch, lines), (_, replayed) in zip(parsed.epochs, parse_trace(regenerated).epochs):
+        block = _decode_block(epoch, lines) if lines != replayed else None
+        if block is None or block.packet is None:
+            continue
+        result = verify(
+            block.packet, block.committee, config.aggregation_params(hub.effective_params(epoch))
+        )
+        for receipt in block.receipts:
+            if receipt.accepted != result.accepted:
+                problems.append(
+                    f"epoch {epoch}: chain {receipt.chain_id} recorded "
+                    f"accepted={int(receipt.accepted)} but replay says {result.reason()}"
+                )
+            if receipt.reason != result.reason():
+                problems.append(
+                    f"epoch {epoch}: chain {receipt.chain_id} recorded reason "
+                    f"{receipt.reason!r} but replay says {result.reason()!r}"
+                )
+    if not problems:
+        pairs = zip(parsed.text.split("\n"), regenerated.split("\n"))
+        for k, (a, b) in enumerate(pairs, 1):
+            if a != b:
+                problems.append(
+                    f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
+                )
+                break
+        else:
+            problems.append("trace length diverges from deterministic replay")
+    return TraceCheck(exit_code=4, problems=tuple(problems))
 
 
 def verify_trace_file(path: str) -> TraceCheck:

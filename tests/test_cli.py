@@ -162,6 +162,17 @@ def test_non_utf8_files_exit_2(run_dir, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "scenario.txt", SMALL)
+    taken = _write(tmp_path, "taken", "not a directory\n")
+    assert main(["run", "--config", config, "--out", taken]) == 2
+    assert main(["sweep", "--config", config, "--param", "n", "--values", "5",
+                 "--out", taken]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot write outputs:") == 2
+    assert "Traceback" not in err
+
+
 def test_verify_trace_accepts_run_output(run_dir, capsys):
     assert main(["verify-trace", str(run_dir / "trace.txt")]) == 0
     assert "trace verified" in capsys.readouterr().out

@@ -10,6 +10,8 @@ from vzor import netsim, sig
 from vzor.scenario import ScenarioConfig
 from vzor.trace import render_trace, verify_trace_text
 
+from test_trace import _edit_witness, _swap_signatures
+
 FRAUD = ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
 
 
@@ -45,12 +47,21 @@ def test_forked_run_is_identical_and_reaped(forked, in_process_trace):
     _assert_no_child()
 
 
-def test_replay_that_stops_at_a_bad_block_is_reaped(forked, in_process_trace):
+def test_bad_block_is_caught_before_any_replay(forked, in_process_trace):
     lines = in_process_trace.split("\n")
     start = lines.index("[epoch 1]")
     at = next(i for i in range(start, len(lines)) if lines[i].startswith("e2e_ms"))
     lines[at] = "e2e_ms 1"
     check = verify_trace_text("\n".join(lines))
+    assert check.exit_code == 4
+    assert check.problems[0].startswith("epoch 1:")
+    assert forked == []
+    assert sig.counters().signs == 0
+    _assert_no_child()
+
+
+def test_edit_only_the_replay_catches_is_reaped(forked, in_process_trace):
+    check = verify_trace_text(_edit_witness(in_process_trace, 1, _swap_signatures))
     assert check.exit_code == 4
     assert check.problems[0].startswith("epoch 1:")
     assert forked == [1]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from vzor import netsim, sig
+from vzor import trace as trace_mod
 from vzor.errors import TraceCorruption
 from vzor.oracle import observation_message
 from vzor.packets import OraclePacket
@@ -282,7 +283,7 @@ def test_verify_rejects_every_single_byte_edit():
             assert verify_trace_text(edited).exit_code in (2, 4), (pos, edited[pos])
 
 
-# -- one pass: each block is checked right after the replay re-signs it ---------------
+# -- checks first, then one replay ------------------------------------------------------
 
 SHORT = ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
 
@@ -339,9 +340,8 @@ def test_clean_trace_needs_no_real_verify(seam, behavior):
 def test_overlapping_epochs_need_no_real_verify(seam):
     # a packet is built 2.83 s after its pulse, so epochs 1 s apart overlap
     config = dataclasses.replace(SHORT, epoch_interval_s=1.0)
-    simulator = netsim.Simulator(config)
-    assert simulator.packet_built_ms(0) > 2 * config.epoch_interval_ms
-    check, counts = _verify_fresh(render_trace(simulator.run()))
+    assert config.delta_net_max_ms + config.t_prove_ms > 2 * config.epoch_interval_ms
+    check, counts = _verify_fresh(render_trace(netsim.run(config)))
     assert check.exit_code == 0
     assert counts.real_verifies == 0
 
@@ -368,6 +368,21 @@ def test_altered_witness_signature_exits_4(seam, epoch, edit):
     check = _verify_both_modes(text, seam)
     assert check.exit_code == 4
     assert f"epoch {epoch}:" in check.problems[0]
+    assert "BadSignature" in check.problems[0]
+
+
+def test_mismatch_reverifies_only_the_diverging_block(seam, monkeypatch):
+    # the replay's own chains verify every packet it builds, so only the
+    # one recorded block that differs from the replay is verified again
+    text = render_trace(netsim.run(dataclasses.replace(SHORT, epochs=48)))
+    text = _edit_witness(text, 3, _flip_signature_bit)
+    calls = []
+    real = trace_mod.verify
+    monkeypatch.setattr(trace_mod, "verify", lambda *args: calls.append(1) or real(*args))
+    check = verify_trace_text(text)
+    assert check.exit_code == 4
+    assert len(calls) == 1
+    assert check.problems[0].startswith("epoch 3:")
     assert "BadSignature" in check.problems[0]
 
 
