@@ -32,6 +32,12 @@ SWEEPABLE = {
 }
 
 
+SWEEP_COLUMNS = (
+    "param", "value", "epochs", "accepted_epochs", "throughput_pps", "mean_e2e_s",
+    "stdev_e2e_s", "slash_count", "mean_slash_latency_s", "liveness_violations",
+)  # then gas_<chain> for each chain
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
@@ -122,8 +128,8 @@ def cmd_sweep(
 
     try:
         os.makedirs(out_dir, exist_ok=True)
-        rows = []
         chains = tuple(base.chains)
+        rows = [trace_mod.csv_row(SWEEP_COLUMNS + tuple(f"gas_{c}" for c in chains))]
         for value in values:
             config = replace(base, **{field: value})
             if parameter == "delta_net":
@@ -142,39 +148,12 @@ def cmd_sweep(
             gas_by_chain = {c: 0 for c in chains}
             for chain_id, _, total in summary.gas_totals:
                 gas_by_chain[chain_id] += total
-            rows.append(
-                [
-                    parameter,
-                    str(value),
-                    str(summary.epochs),
-                    str(summary.accepted_epochs),
-                    str(summary.throughput_pps),
-                    "" if summary.mean_e2e_s is None else str(summary.mean_e2e_s),
-                    "" if summary.stdev_e2e_s is None else str(summary.stdev_e2e_s),
-                    str(summary.slash_count),
-                    ""
-                    if summary.mean_slash_latency_s is None
-                    else str(summary.mean_slash_latency_s),
-                    str(len(liveness.violations)),
-                ]
-                + [str(gas_by_chain[c]) for c in chains]
-            )
+            cells = (parameter, value, summary.epochs, summary.accepted_epochs,
+                     summary.throughput_pps, summary.mean_e2e_s, summary.stdev_e2e_s,
+                     summary.slash_count, summary.mean_slash_latency_s, len(liveness.violations))
+            rows.append(trace_mod.csv_row(cells + tuple(gas_by_chain.values())))
             print(f"{parameter}={value}: {summary.accepted_epochs}/{summary.epochs} accepted")
-
-        header = [
-            "param",
-            "value",
-            "epochs",
-            "accepted_epochs",
-            "throughput_pps",
-            "mean_e2e_s",
-            "stdev_e2e_s",
-            "slash_count",
-            "mean_slash_latency_s",
-            "liveness_violations",
-        ] + [f"gas_{c}" for c in chains]
-        csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-        _atomic_write(os.path.join(out_dir, "sweep.csv"), csv_text)
+        _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(rows) + "\n")
     except OSError as exc:
         return _cannot_write(exc)
     print(f"sweep table written to {os.path.join(out_dir, 'sweep.csv')}")

@@ -38,7 +38,8 @@ DEFAULT_MIN_STAKE = WEI_PER_ETH  # 1 ETH
 DEFAULT_SLASH_CUT = 15 * WEI_PER_ETH // 100  # 0.15 ETH
 DEFAULT_GOVERNANCE_DELAY = 2  # epochs between proposal and effect
 
-GOVERNED_PARAMETERS = ("f_min", "s_cut", "n", "S_min")
+_GOVERNED_FIELDS = {"f_min": "f_min", "s_cut": "s_cut", "n": "n", "S_min": "s_min"}
+GOVERNED_PARAMETERS = tuple(_GOVERNED_FIELDS)
 
 
 def eth_to_wei(amount: Union[str, int, Decimal]) -> int:
@@ -69,15 +70,9 @@ class GovernedParams:
     s_min: int  # wei
 
     def with_update(self, param: str, value: int) -> "GovernedParams":
-        if param == "f_min":
-            return replace(self, f_min=value)
-        if param == "s_cut":
-            return replace(self, s_cut=value)
-        if param == "n":
-            return replace(self, n=value)
-        if param == "S_min":
-            return replace(self, s_min=value)
-        raise UnknownParameter(f"{param!r} is not governed")
+        if param not in _GOVERNED_FIELDS:
+            raise UnknownParameter(f"{param!r} is not governed")
+        return replace(self, **{_GOVERNED_FIELDS[param]: value})
 
 
 @dataclass(frozen=True)
@@ -253,22 +248,11 @@ class Hub:
             return self._reports[digest]
 
         cut = self.effective_params(fraud.packet.epoch).s_cut
-        result = verify(fraud.packet, committee, params)
-        if result.accepted:
-            report = SlashReport(
-                epoch=fraud.packet.epoch,
-                slashed=(),
-                per_reporter_cut=cut,
-                total_cut=0,
-                rejected_reason="NotFraud",
-            )
-            self._reports[digest] = report
-            return report
-
+        fraudulent = not verify(fraud.packet, committee, params).accepted
         root = fraud.packet.proof.witness_root
         slashed: list[int] = []
         total = 0
-        for entry, path in fraud.inclusion:
+        for entry, path in fraud.inclusion if fraudulent else ():
             if entry.reporter_id in slashed:
                 continue
             if not verify_inclusion(root, entry, path):
@@ -282,6 +266,7 @@ class Hub:
             slashed=tuple(slashed),
             per_reporter_cut=cut,
             total_cut=total,
+            rejected_reason=None if fraudulent else "NotFraud",
         )
         self._reports[digest] = report
         return report

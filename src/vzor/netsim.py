@@ -20,7 +20,7 @@ one extra delta_net_max for the observation leg.
 from __future__ import annotations
 
 import heapq
-import io
+import mmap
 import os
 import random
 import statistics
@@ -43,7 +43,7 @@ from .vrf import (
     SortitionParams,
     evaluate_registry,
     select_committee,
-    sortition_message,
+    sortition_signed_message,
     vrf_keygen,
 )
 
@@ -51,12 +51,12 @@ _RNG_TAG = "VZOR/rng/v1"
 _KEYSEED_TAG = "VZOR/keyseed/v1"
 _BEACON_SEED_TAG = "VZOR/beacon-seed/v1"
 
-# Forking the VRF scorer and reaping it costs about 2.5 ms, the time of
-# about 60 Ed25519 signs at 44 us each, and the loop then waits for the
-# scorer's first epoch.  On a 2-core Xeon with the second core free, a
-# 50-reporter run broke even at 2 epochs (100 signs) and saved 20 of 62 ms
-# at 16 epochs; with that core busy, forked runs were about 10% slower.  A
-# run with fewer sortition signs (epochs x registry_size) scores in-process.
+# Forking the VRF scorer costs a few ms per run (fork, copy-on-write faults,
+# reap).  Fresh 50-reporter runs on a 2-vCPU Xeon VM, forked / in-process
+# time: 1.65 at 100 sortition signs, 1.04-1.10 at 400-2,000 (3-8 ms), 0.97
+# at 3,000, 0.48-0.62 at 5,000-24,000; with a spinning process on the
+# second vCPU, 1.00 at 1,000 and 0.86 at 24,000.
+# Runs with fewer sortition signs (epochs x registry_size) score in-process.
 SCORER_MIN_SIGNS = 1000
 
 
@@ -165,47 +165,75 @@ class _EpochState:
 
 
 class _Scorer:
-    """The registry's VRF proofs, signed ahead in one forked process.
+    """The registry's VRF proofs, signed from both ends of one work list.
 
     A sortition proof is a pure function of (reporter key, pulse, epoch),
-    and every pulse exists before the event loop starts.  The first
-    committee draw forks a child that signs each epoch's sortition message
-    for every registered reporter and streams the 64-byte signatures, in
-    (epoch, reporter id) order, through a pipe; each later draw reads its
-    epoch's.  When forking is off or unsafe (other threads run), fails, or
-    the child dies or sends short data, :meth:`proofs` returns None and the
-    draw signs in-process, with the same result.  :meth:`close` stops and
-    reaps the child.
+    and every pulse exists before the event loop starts.  The list holds
+    every proof in (epoch, reporter id) order.  The first committee draw
+    forks a child that signs it from that draw on and streams each epoch's
+    64-byte signatures through a pipe.  A draw that needs a proof the pipe
+    has not delivered signs the list's last open proof itself instead of
+    waiting; the child, which sees how far that end has come, stops there,
+    and is killed and reaped the moment the two ends meet.  Each draw
+    records the proofs it uses with ``sig.record_own`` and drops them.
+    When forking is off or unsafe (other threads run) or fails,
+    :meth:`proofs` returns None and the draw signs in-process; when the
+    child dies first, the loop signs the rest in draw order.
     """
 
     def __init__(self, secrets: list[ReporterSecret], pulses: list[Pulse], fork: bool) -> None:
         self._secrets = secrets
         self._pulses = pulses
         self._unstarted = fork
-        self._pid = 0
-        self._pipe: Optional[io.BufferedReader] = None
+        self._pid = self._fd = self._size = 0  # _size: the list's length
+        self._back = memoryview(bytearray(8)).cast("q")  # [0]: the loop's last proof
+        self._tail = bytearray()  # the loop's proofs, the list's last first, each reversed
 
     def proofs(self, epoch: int) -> Optional[list[bytes]]:
         """The epoch's proofs indexed by reporter id; draws come in epoch order."""
         if self._unstarted:
             self._unstarted = False
             self._start(epoch)
-        if self._pipe is None:
+        if not self._size:
             return None
-        size = SIGNATURE_BYTES * len(self._secrets)
-        data = self._pipe.read(size)
-        if len(data) != size:
-            self.close()
-            return None
-        return [data[i : i + SIGNATURE_BYTES] for i in range(0, size, SIGNATURE_BYTES)]
+        start = epoch * len(self._secrets)  # the list index of the epoch's first proof
+        end = start + len(self._secrets)
+        head = b""  # the epoch's proofs from the front
+        while (have := start + len(head) // SIGNATURE_BYTES) < min(self._back[0], end):
+            if not self._pid:  # no child: sign in draw order
+                head = head[: (have - start) * SIGNATURE_BYTES] + self._sign(have)
+                continue
+            try:
+                want = (min(self._back[0], end) - start) * SIGNATURE_BYTES - len(head)
+                data = os.read(self._fd, want)
+            except BlockingIOError:  # nothing delivered yet: sign the last open proof
+                self._back[0] -= 1
+                self._tail += self._sign(self._back[0])[::-1]
+                continue
+            if not data:
+                self.close()  # the child died first
+            head += data
+        if self._pid and have >= self._back[0]:
+            self.close()  # the ends met
+        own = (self._size - end) * SIGNATURE_BYTES  # the epoch's proofs end the tail
+        data = head + self._tail[own:][::-1]  # read backwards: in list order again
+        del self._tail[own:]
+        return [data[i : i + SIGNATURE_BYTES] for i in range(0, len(data), SIGNATURE_BYTES)]
+
+    def _sign(self, index: int) -> bytes:
+        epoch, rid = divmod(index, len(self._secrets))
+        message = sortition_signed_message(self._pulses[epoch], epoch)
+        return self._secrets[rid].sign_unrecorded(message)
 
     def _start(self, first_epoch: int) -> None:
         if threading.active_count() > 1:
             return  # the child could block forever on a lock another thread held
         try:
+            back = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared with the child
             read_fd, write_fd = os.pipe()
         except OSError:
             return
+        back[0] = len(self._pulses) * len(self._secrets)
         try:
             pid = os.fork()
         except OSError:
@@ -218,31 +246,34 @@ class _Scorer:
                 os.close(read_fd)
                 with open(write_fd, "wb") as out:
                     for epoch in range(first_epoch, len(self._pulses)):
-                        message, _ = sortition_message(self._pulses[epoch], epoch)
-                        out.write(b"".join(s.sign(message) for s in self._secrets))
+                        todo = back[0] - epoch * len(self._secrets)  # stop at the loop's end
+                        if todo <= 0:
+                            break
+                        message = sortition_signed_message(self._pulses[epoch], epoch)
+                        out.write(b"".join(s.sign_unrecorded(message) for s in self._secrets[:todo]))
                         out.flush()
                 status = 0
             finally:
                 os._exit(status)  # never return into the parent's code
         os.close(write_fd)
-        self._pid = pid
-        self._pipe = open(read_fd, "rb")
+        os.set_blocking(read_fd, False)
+        self._pid, self._fd, self._back, self._size = pid, read_fd, back, back[0]
 
     def close(self) -> None:
-        if self._pipe is not None:
-            self._pipe.close()
-            self._pipe = None
+        if self._pid:
+            os.close(self._fd)
             os.kill(self._pid, 9)  # SIGKILL; importing signal adds 128 KiB to peak RSS
             os.waitpid(self._pid, 0)
+            self._pid = 0
 
 
 class Simulator:
     """Single-threaded event loop owning every protocol state machine.
 
-    Beside the loop, a run with at least SCORER_MIN_SIGNS sortition signs
-    makes its VRF proofs ahead in one forked scorer process (see
-    ``_Scorer``).  :meth:`run` drains the loop and reaps the scorer, also
-    when a handler raises.
+    A run with at least SCORER_MIN_SIGNS sortition signs makes its VRF
+    proofs ahead, one forked scorer process and the loop signing from the
+    two ends of one list (see ``_Scorer``).  :meth:`run` drains the loop
+    and reaps the scorer, also when a handler raises.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -570,9 +601,7 @@ def metrics(trace: RunTrace) -> MetricsSummary:
         mean_e2e_s=(statistics.fmean(e2e) / 1000.0) if e2e else None,
         stdev_e2e_s=(statistics.pstdev(e2e) / 1000.0) if len(e2e) > 1 else None,
         slash_count=len(slash_latencies),
-        mean_slash_latency_s=(statistics.fmean(slash_latencies) / 1000.0)
-        if slash_latencies
-        else None,
+        mean_slash_latency_s=statistics.fmean(slash_latencies) / 1000.0 if slash_latencies else None,
         gas_totals=trace.gas_totals,
         selection_counts=tuple(sorted(counts.items())),
     )

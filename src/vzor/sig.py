@@ -9,10 +9,12 @@ three places only:
 * the in-process :class:`Signer`, stored as true.  RFC 8032 signing is
   deterministic and the signer derives its public key from its own
   private key, so its signature always verifies under that key;
-* :func:`record_own`, stored as true: a signature made by one of the
-  run's own keys in the simulator's forked VRF scorer process and read
-  back from its pipe.  The real-verify mode below stores nothing, so
-  there every such signature is still checked for real when it is used.
+* :func:`record_own`, stored as true: a VRF proof made by one of the
+  run's own keys ahead of its draw, either in the simulator's forked
+  scorer process and read back from its pipe, or by the event loop with
+  :meth:`Signer.sign_unrecorded`; it is recorded at the draw that uses it.
+  The real-verify mode below stores nothing, so there every such
+  signature is still checked for real when it is used.
 
 A lookup with any other key, message or signature misses the memo and
 falls through to a real verify, so the memo never changes a verdict: it
@@ -92,6 +94,10 @@ class Signer:
         signature = self._key.sign(message)
         record_own(self.public_key, message, signature)
         return signature
+
+    def sign_unrecorded(self, message: bytes) -> bytes:
+        """Sign for a caller that records the signature where it uses it."""
+        return self._key.sign(message)
 
 
 def record_own(public_key: bytes, message: bytes, signature: bytes) -> None:

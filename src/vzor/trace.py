@@ -95,6 +95,11 @@ def write_trace(trace: netsim.RunTrace, path: str) -> None:
         handle.write(render_trace(trace))
 
 
+def csv_row(cells) -> str:
+    """One CSV row; a missing value (None) is an empty cell."""
+    return ",".join("" if cell is None else str(cell) for cell in cells)
+
+
 def render_csv(trace: netsim.RunTrace) -> str:
     chains = trace.chain_ids
     header = (
@@ -103,33 +108,20 @@ def render_csv(trace: netsim.RunTrace) -> str:
         + [f"gas_{c}" for c in chains]
         + ["e2e_latency_s", "fraud_injected", "slash_latency_s", "slashed_ids"]
     )
-    rows = [",".join(header)]
+    rows = [csv_row(header)]
     for rec in trace.records:
         by_chain = {r.chain_id: r for r in rec.receipts}
-        cells = [
-            str(rec.epoch),
-            ";".join(str(i) for i in rec.committee_ids()),
-            "" if rec.median is None else str(rec.median),
+        receipts = [by_chain.get(c) for c in chains]
+        cells = [rec.epoch, ";".join(str(i) for i in rec.committee_ids()), rec.median]
+        cells += [None if r is None else int(r.accepted) for r in receipts]
+        cells += [None if r is None else r.gas_used for r in receipts]
+        cells += [None if rec.e2e_ms is None else ms_to_s_text(rec.e2e_ms), int(rec.fraud_injected)]
+        slash = rec.slash
+        cells += [None, None] if slash is None else [
+            ms_to_s_text(slash.latency_ms), ";".join(str(i) for i in slash.slashed)
         ]
-        for c in chains:
-            r = by_chain.get(c)
-            cells.append("" if r is None else ("1" if r.accepted else "0"))
-        for c in chains:
-            r = by_chain.get(c)
-            cells.append("" if r is None else str(r.gas_used))
-        cells.append("" if rec.e2e_ms is None else ms_to_s_text(rec.e2e_ms))
-        cells.append("1" if rec.fraud_injected else "0")
-        cells.append("" if rec.slash is None else ms_to_s_text(rec.slash.latency_ms))
-        cells.append(
-            "" if rec.slash is None else ";".join(str(i) for i in rec.slash.slashed)
-        )
-        rows.append(",".join(cells))
+        rows.append(csv_row(cells))
     return "\n".join(rows) + "\n"
-
-
-def write_csv(trace: netsim.RunTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_csv(trace))
 
 
 # -- parsing ------------------------------------------------------------------

@@ -62,6 +62,9 @@ class ReporterSecret:
     def sign(self, message: bytes) -> bytes:
         return self._signer.sign(message)
 
+    def sign_unrecorded(self, message: bytes) -> bytes:
+        return self._signer.sign_unrecorded(message)
+
     def public_key(self) -> bytes:
         return self._signer.public_key
 
@@ -171,6 +174,11 @@ def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
     return _vrf_message(sortition_input(pulse.value, epoch))
 
 
+def sortition_signed_message(pulse: Pulse, epoch: int) -> bytes:
+    """The signed message of :func:`sortition_message`, without its digest."""
+    return domain_message(_VRF_SIGN_TAG, sortition_input(pulse.value, epoch))
+
+
 def evaluate_registry(
     secrets: list[ReporterSecret],
     pulse: Pulse,
@@ -180,8 +188,8 @@ def evaluate_registry(
     """Score every reporter against the epoch's sortition input.
 
     ``proofs``, when given, holds the epoch's proof of every registered
-    reporter, indexed by id, signed ahead with the same keys in another
-    process; each is recorded with :func:`sig.record_own` instead of being
+    reporter, indexed by id, signed ahead with the same keys and not yet
+    recorded; each is recorded with :func:`sig.record_own` instead of being
     signed again.
     """
     message, input_digest = sortition_message(pulse, epoch)

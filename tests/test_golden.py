@@ -1,5 +1,5 @@
 """Golden outputs: the SHA-256 of trace.txt, epochs.csv and metrics.txt for
-three 48-epoch scenarios.
+three 48-epoch scenarios, and the bytes of one small sweep's sweep.csv.
 
 Any change to these bytes is a change to the simulator's observable
 behaviour, so a refactor must leave them alone.  The beacon-period fix
@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 from vzor import netsim
+from vzor.cli import main
 from vzor.scenario import ScenarioConfig
 from vzor.trace import render_csv, render_trace
 
@@ -53,3 +54,25 @@ def test_outputs_match_golden_digests(name):
     outputs = (render_trace(run_trace), render_csv(run_trace), netsim.metrics(run_trace).to_text())
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in outputs)
     assert digests == GOLDEN[name]
+
+
+# a lying aggregator every second epoch of two: one slash per run, and an
+# empty stdev_e2e_s cell since only one epoch is accepted
+SWEEP_CONFIG = (
+    "epochs = 2\nadversary_behavior = wrong_median_packet\nfraud_period = 2\nquorum = 5\n"
+)
+SWEEP_CSV = (
+    "param,value,epochs,accepted_epochs,throughput_pps,mean_e2e_s,stdev_e2e_s,"
+    "slash_count,mean_slash_latency_s,liveness_violations,gas_sepolia,gas_scroll\n"
+    "n,5,2,1,0.016666666666666666,18.006,,1,1.896,0,592224,193962\n"
+    "n,15,2,1,0.016666666666666666,18.006,,1,1.896,0,592224,193962\n"
+)
+
+
+def test_sweep_table_matches_golden_bytes(tmp_path):
+    config = tmp_path / "scenario.txt"
+    config.write_text(SWEEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--param", "n", "--values", "5,15",
+                 "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == SWEEP_CSV.encode("ascii")

@@ -10,6 +10,8 @@ from vzor.errors import UnverifiableScore
 from vzor.netsim import run
 from vzor.scenario import ScenarioConfig
 
+from test_scorer import split
+
 FRAUD = "seed = 3\nepochs = 6\nadversary_behavior = wrong_median_packet\nfraud_period = 2\n"
 
 
@@ -114,9 +116,12 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
     config.write_text(FRAUD)
     outputs = {}
     counts = {}
-    # in-process scoring first, then a forked scorer for the same run
-    for scoring, min_signs in (("in-process", netsim.SCORER_MIN_SIGNS), ("forked", 0)):
-        monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", min_signs)
+    in_process = netsim.SCORER_MIN_SIGNS
+    # in-process scoring first, then a forked scorer for the same run, then
+    # one whose loop signs the last 130 of the 300 proofs before the pipe
+    # delivers any
+    for scoring in ("in-process", "forked", "split"):
+        monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", in_process if scoring == "in-process" else 0)
         for mode in ("memo", "real"):
             if mode == "real":
                 monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
@@ -124,26 +129,30 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
                 monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
             sig.reset()
             out = tmp_path / scoring / mode
-            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            with monkeypatch.context() as patch:
+                loop = split(patch, loop_signs=130) if scoring == "split" else None
+                assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            assert loop is None or loop == {"signed": 130, "read": 170}
             outputs[scoring, mode] = (out / "trace.txt").read_bytes()
             counts[scoring, mode] = sig.counters()
             assert "slash_count = 3" in (out / "metrics.txt").read_text()
     assert len(set(outputs.values())) == 1
-    for scoring in ("in-process", "forked"):
+    for scoring in ("in-process", "forked", "split"):
         memo, real = counts[scoring, "memo"], counts[scoring, "real"]
         assert memo.memo_hits > 0 and real.memo_hits == 0
         assert memo.signs == real.signs
         assert memo.memo_hits + memo.real_verifies == real.real_verifies
-    # the real-verify mode checks every proof the scorer sent, as it checks
-    # the proofs signed in-process
-    assert counts["forked", "real"] == counts["in-process", "real"]
+        # the real-verify mode checks every proof the scorer made, at either
+        # end of its list, as it checks the proofs signed in-process
+        assert counts[scoring, "real"] == counts["in-process", "real"]
 
 
 def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):
-    # a scorer that signs the wrong message sends proofs that do not verify;
-    # the memo trusts them as the run's own, a real verify does not
-    message = netsim.sortition_message
-    monkeypatch.setattr(netsim, "sortition_message", lambda p, e: (message(p, e)[0] + b"!", b""))
+    # a scorer that signs the wrong message, at either end of its work list,
+    # makes proofs that do not verify; the memo trusts them as the run's own,
+    # a real verify does not
+    message = netsim.sortition_signed_message
+    monkeypatch.setattr(netsim, "sortition_signed_message", lambda p, e: message(p, e) + b"!")
     monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 0)
     monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
     sig.reset()

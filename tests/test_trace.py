@@ -17,7 +17,6 @@ from vzor.trace import (
     render_trace,
     verify_trace_file,
     verify_trace_text,
-    write_csv,
     write_trace,
 )
 from vzor.vrf import vrf_keygen
@@ -106,7 +105,7 @@ def test_written_files_round_trip(tmp_path, honest_trace):
     trace_path = tmp_path / "trace.txt"
     csv_path = tmp_path / "epochs.csv"
     write_trace(honest_trace, str(trace_path))
-    write_csv(honest_trace, str(csv_path))
+    csv_path.write_text(render_csv(honest_trace))
     assert trace_path.read_text() == render_trace(honest_trace)
     assert csv_path.read_text() == render_csv(honest_trace)
 
