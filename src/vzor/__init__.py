@@ -1,71 +1,11 @@
 """Deterministic desk-scale model of a proof-carrying cross-chain oracle.
 
-Entropy beacon, VRF committee sortition, median aggregation with signed
-witnesses, per-chain verification under a constant gas model, restaked
-slashing, and a discrete-event simulator tying the lifecycle together.
+Entropy beacon (``vzor.beacon``), VRF committee sortition (``vzor.vrf``),
+median aggregation with signed witnesses (``vzor.oracle``,
+``vzor.packets``, ``vzor.proofs``), per-chain verification under a
+constant gas model (``vzor.chains``), restaked slashing (``vzor.hub``),
+and a discrete-event simulator tying the lifecycle together
+(``vzor.netsim``).  ``vzor.cli`` is the command line.
 """
 
-from .beacon import BeaconParams, Pulse, joint_entropy_lower_bound, make_chain, verify_chain
-from .chains import Chain, ChainConfig, Receipt, gas_cost, scroll, sepolia
-from .errors import VzorError
-from .hub import (
-    FraudProof,
-    GovernedParams,
-    Hub,
-    SlashReport,
-    collusion_bound,
-    economic_check,
-)
-from .netsim import RunTrace, Simulator, check_liveness, metrics, run
-from .oracle import AggregationParams, SignedObservation, median, sign_observation
-from .packets import OraclePacket, build_packet
-from .proofs import VerifyResult, Witness, prove, verify
-from .scenario import ScenarioConfig, canonical_text, parse_config
-from .vrf import Committee, SortitionParams, select_committee, vrf_evaluate, vrf_verify
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregationParams",
-    "BeaconParams",
-    "Chain",
-    "ChainConfig",
-    "Committee",
-    "FraudProof",
-    "GovernedParams",
-    "Hub",
-    "OraclePacket",
-    "Pulse",
-    "Receipt",
-    "RunTrace",
-    "ScenarioConfig",
-    "SignedObservation",
-    "Simulator",
-    "SlashReport",
-    "SortitionParams",
-    "VerifyResult",
-    "VzorError",
-    "Witness",
-    "build_packet",
-    "canonical_text",
-    "check_liveness",
-    "collusion_bound",
-    "economic_check",
-    "gas_cost",
-    "joint_entropy_lower_bound",
-    "make_chain",
-    "median",
-    "metrics",
-    "parse_config",
-    "prove",
-    "run",
-    "scroll",
-    "select_committee",
-    "sepolia",
-    "sign_observation",
-    "verify",
-    "verify_chain",
-    "vrf_evaluate",
-    "vrf_verify",
-    "__version__",
-]

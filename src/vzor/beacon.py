@@ -68,39 +68,19 @@ def chain_digest(index: int, timestamp: int, value: bytes, prev_digest: bytes) -
     return tagged_digest(_CHAIN_TAG, be_u64(index), be_u64(timestamp), value, prev_digest)
 
 
-def genesis(params: BeaconParams) -> Pulse:
-    """Pulse 0: all-zeros previous digest, timestamp 0."""
-    value = pulse_value(params.seed, 0)
-    return Pulse(
-        index=0,
-        timestamp=0,
-        value=value,
-        prev_digest=ZERO_DIGEST,
-        chain_digest=chain_digest(0, 0, value, ZERO_DIGEST),
-    )
-
-
-def next_pulse(prev: Pulse, params: BeaconParams) -> Pulse:
-    """Successor pulse: index + 1, timestamp advanced by the beacon period."""
-    index = prev.index + 1
-    timestamp = prev.timestamp + params.period_seconds
-    value = pulse_value(params.seed, index)
-    return Pulse(
-        index=index,
-        timestamp=timestamp,
-        value=value,
-        prev_digest=prev.chain_digest,
-        chain_digest=chain_digest(index, timestamp, value, prev.chain_digest),
-    )
-
-
 def make_chain(params: BeaconParams, count: int) -> list[Pulse]:
-    """Generate ``count`` pulses starting from genesis."""
+    """Generate ``count`` pulses: pulse 0 links to the all-zeros digest at
+    timestamp 0, and each later one to its predecessor, one period on."""
     if count < 1:
         raise ValueError("chain needs at least one pulse")
-    pulses = [genesis(params)]
-    for _ in range(count - 1):
-        pulses.append(next_pulse(pulses[-1], params))
+    pulses = []
+    prev_digest = ZERO_DIGEST
+    for index in range(count):
+        timestamp = index * params.period_seconds
+        value = pulse_value(params.seed, index)
+        digest = chain_digest(index, timestamp, value, prev_digest)
+        pulses.append(Pulse(index, timestamp, value, prev_digest, digest))
+        prev_digest = digest
     return pulses
 
 

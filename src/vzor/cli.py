@@ -52,13 +52,14 @@ def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioC
     return config
 
 
-def _write_run_outputs(run_trace: netsim.RunTrace, out_dir: str) -> None:
+def _write_run_outputs(run_trace: netsim.RunTrace, out_dir: str) -> netsim.MetricsSummary:
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config.txt"), run_trace.config_text)
     _atomic_write(os.path.join(out_dir, "trace.txt"), trace_mod.render_trace(run_trace))
     _atomic_write(os.path.join(out_dir, "epochs.csv"), trace_mod.render_csv(run_trace))
     summary = netsim.metrics(run_trace)
     _atomic_write(os.path.join(out_dir, "metrics.txt"), summary.to_text())
+    return summary
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -79,10 +80,9 @@ def cmd_run(config_path: Optional[str], out_dir: str, seed: Optional[int]) -> in
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        _write_run_outputs(run_trace, out_dir)
+        summary = _write_run_outputs(run_trace, out_dir)
     except OSError as exc:
         return _cannot_write(exc)
-    summary = netsim.metrics(run_trace)
     print(f"ran {summary.epochs} epochs, {summary.accepted_epochs} accepted, "
           f"{summary.slash_count} slash events")
     print(f"outputs in {out_dir}: config.txt trace.txt epochs.csv metrics.txt")
@@ -142,8 +142,7 @@ def cmd_sweep(
             except InvalidScenario as exc:
                 print(f"invalid scenario at {parameter}={value}: {exc}", file=sys.stderr)
                 return EXIT_INVALID
-            _write_run_outputs(run_trace, os.path.join(out_dir, f"{parameter}_{value}"))
-            summary = netsim.metrics(run_trace)
+            summary = _write_run_outputs(run_trace, os.path.join(out_dir, f"{parameter}_{value}"))
             liveness = netsim.check_liveness(run_trace)
             gas_by_chain = {c: 0 for c in chains}
             for chain_id, _, total in summary.gas_totals:

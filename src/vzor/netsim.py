@@ -23,6 +23,7 @@ import heapq
 import mmap
 import os
 import random
+import signal
 import statistics
 import threading
 from dataclasses import dataclass, field
@@ -52,12 +53,13 @@ _KEYSEED_TAG = "VZOR/keyseed/v1"
 _BEACON_SEED_TAG = "VZOR/beacon-seed/v1"
 
 # Forking the VRF scorer costs a few ms per run (fork, copy-on-write faults,
-# reap).  Fresh 50-reporter runs on a 2-vCPU Xeon VM, forked / in-process
-# time: 1.65 at 100 sortition signs, 1.04-1.10 at 400-2,000 (3-8 ms), 0.97
-# at 3,000, 0.48-0.62 at 5,000-24,000; with a spinning process on the
-# second vCPU, 1.00 at 1,000 and 0.86 at 24,000.
-# Runs with fewer sortition signs (epochs x registry_size) score in-process.
-SCORER_MIN_SIGNS = 1000
+# reap), and pays off only once the child signs long enough on the other
+# vCPU.  Fresh 50-reporter runs, libsodium signing, 2-vCPU Xeon VM, forked /
+# in-process time (medians of 10-16 alternating pairs): 1.33 at 400
+# sortition signs, 0.95-1.18 at 1,000-5,500, 0.54-0.98 at 6,000, 0.54-0.61
+# at 8,000-24,000.  Runs with fewer sortition signs (epochs x registry_size)
+# score in-process.
+SCORER_MIN_SIGNS = 6000
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -262,7 +264,7 @@ class _Scorer:
     def close(self) -> None:
         if self._pid:
             os.close(self._fd)
-            os.kill(self._pid, 9)  # SIGKILL; importing signal adds 128 KiB to peak RSS
+            os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = 0
 

@@ -1,6 +1,19 @@
 """Ed25519 signing and verification behind one seam, with a verdict memo.
 
 Every signature the simulator makes or checks goes through this module.
+:class:`Signer` derives its public key and signs through one backend,
+chosen once per process at import: libsodium (``libsodium.so.23``, loaded
+by soname through ``ctypes``) if it loads and, on RFC 8032's TEST 2 seed
+and message, gives the public key and signature recorded here, which the
+tests check are what ``cryptography`` gives.  Asking ``cryptography`` at
+import would start OpenSSL's Ed25519 (about 1.3 MiB), which a run without
+a real verify never needs.  Otherwise ``cryptography`` (OpenSSL) signs, as
+on a machine without libsodium; it is also the tests' reference.  Signing
+is deterministic, so both give the same bytes and no output depends on the
+choice; libsodium takes about half the time per sign.  Verification always
+uses ``cryptography``: its verdicts on malformed keys and signatures are
+what ``verify-trace`` reports, and a run needs few real verifies.
+
 Verdicts are remembered in a bounded FIFO memo keyed on the exact
 ``(public_key, message, signature)`` bytes.  An entry comes from one of
 three places only:
@@ -35,9 +48,11 @@ as a sign, so the counts do not depend on which process signed.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import os
 from collections import OrderedDict
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -46,6 +61,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 REAL_VERIFY_ENV = "VZOR_REAL_VERIFY"
+SEED_BYTES = 32
+SODIUM_SONAME = "libsodium.so.23"
 
 # Every memo hit in a default run re-checks a signature made earlier in
 # the same epoch, and an epoch adds registry_size + committee_size entries
@@ -80,24 +97,92 @@ def _remember(key: tuple[bytes, bytes, bytes], verdict: bool) -> None:
         _memo.popitem(last=False)
 
 
-class Signer:
-    """An Ed25519 private key with its public key derived once."""
+# A signing backend is a keypair function: seed -> (sign, public key).
+_Keypair = Callable[[bytes], tuple[Callable[[bytes], bytes], bytes]]
 
-    __slots__ = ("_key", "public_key")
+
+def _openssl_keypair(seed: bytes) -> tuple[Callable[[bytes], bytes], bytes]:
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    return key.sign, key.public_key().public_bytes_raw()
+
+
+def _load_sodium() -> _Keypair:
+    """libsodium's keypair function.  Raises OSError or AttributeError where
+    the library or a symbol is missing.  Loaded by soname, since
+    ``ctypes.util.find_library`` starts a subprocess."""
+    lib = ctypes.CDLL(SODIUM_SONAME)
+    init_c = lib.sodium_init
+    keypair_c, sign_c = lib.crypto_sign_seed_keypair, lib.crypto_sign_detached
+    buf = ctypes.c_char_p  # unsigned char *: bytes in, string buffers out
+    init_c.argtypes = ()
+    keypair_c.argtypes = (buf, buf, buf)  # public key out, secret key out, seed
+    # signature out, its length out (NULL), message, message length, secret key
+    sign_c.argtypes = (buf, ctypes.c_void_p, buf, ctypes.c_ulonglong, buf)
+    init_c.restype = keypair_c.restype = sign_c.restype = ctypes.c_int
+    if init_c() < 0:
+        raise OSError("sodium_init failed")
+
+    def keypair(seed: bytes) -> tuple[Callable[[bytes], bytes], bytes]:
+        public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+        if keypair_c(public, secret, seed):
+            raise OSError("crypto_sign_seed_keypair failed")
+        secret_key = secret.raw  # 64 bytes, held by sign for as long as it lives
+
+        def sign(message: bytes) -> bytes:
+            signature = ctypes.create_string_buffer(64)
+            sign_c(signature, None, message, len(message), secret_key)  # always 0
+            return signature.raw
+
+        return sign, public.raw
+
+    return keypair
+
+
+# RFC 8032, section 7.1, TEST 2: the bytes ``cryptography`` gives too.
+_CHECK_SEED = bytes.fromhex("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb")
+_CHECK_MESSAGE = b"\x72"
+_CHECK_PUBLIC_KEY = bytes.fromhex("3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c")
+_CHECK_SIGNATURE = bytes.fromhex(
+    "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+    "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
+)
+
+
+def _choose() -> _Keypair:
+    """libsodium if it loads and gives the check bytes, else ``cryptography``."""
+    try:
+        sodium = _load_sodium()
+        sign, public = sodium(_CHECK_SEED)
+    except (OSError, AttributeError):
+        return _openssl_keypair
+    agrees = public == _CHECK_PUBLIC_KEY and sign(_CHECK_MESSAGE) == _CHECK_SIGNATURE
+    return sodium if agrees else _openssl_keypair
+
+
+_keypair = _choose()
+
+
+class Signer:
+    """An Ed25519 private key with its public key derived once, both through
+    the backend chosen at import."""
+
+    __slots__ = ("_sign", "public_key")
 
     def __init__(self, seed: bytes) -> None:
-        self._key = Ed25519PrivateKey.from_private_bytes(seed)
-        self.public_key: bytes = self._key.public_key().public_bytes_raw()
+        seed = memoryview(seed).tobytes()  # any bytes-like object, never an int
+        if len(seed) != SEED_BYTES:  # checked before any pointer reaches C
+            raise ValueError(f"an Ed25519 seed is {SEED_BYTES} bytes, not {len(seed)}")
+        self._sign, self.public_key = _keypair(seed)
 
     def sign(self, message: bytes) -> bytes:
         message = bytes(message)
-        signature = self._key.sign(message)
+        signature = self._sign(message)
         record_own(self.public_key, message, signature)
         return signature
 
     def sign_unrecorded(self, message: bytes) -> bytes:
         """Sign for a caller that records the signature where it uses it."""
-        return self._key.sign(message)
+        return self._sign(bytes(message))
 
 
 def record_own(public_key: bytes, message: bytes, signature: bytes) -> None:

@@ -90,11 +90,6 @@ def render_trace(trace: netsim.RunTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(trace: netsim.RunTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_trace(trace))
-
-
 def csv_row(cells) -> str:
     """One CSV row; a missing value (None) is an empty cell."""
     return ",".join("" if cell is None else str(cell) for cell in cells)

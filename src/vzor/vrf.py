@@ -53,8 +53,6 @@ class ReporterSecret:
     __slots__ = ("id", "_signer", "_identity")
 
     def __init__(self, reporter_id: int, seed: bytes) -> None:
-        if len(seed) != 32:
-            raise ValueError("secret seed must be 32 bytes")
         self.id = reporter_id
         self._signer = sig.Signer(seed)
         self._identity = ReporterIdentity(reporter_id, self._signer.public_key)

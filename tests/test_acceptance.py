@@ -31,7 +31,7 @@ from vzor.oracle import AggregationParams, median, sign_observation
 from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import verify
 from vzor.scenario import ScenarioConfig
-from vzor.trace import render_trace, write_trace
+from vzor.trace import render_trace
 from vzor.vrf import SortitionParams, evaluate_registry, select_committee
 
 from conftest import MUTATION_KINDS, mutate_packet
@@ -323,7 +323,7 @@ def test_criterion_11_trace_self_verification(
         ("safety", safety480),
     ):
         path = tmp_path / f"{name}.txt"
-        write_trace(trace, str(path))
+        path.write_text(render_trace(trace))
         if cli_main(["verify-trace", str(path)]) != 0:
             clean_ok = False
     if cli_main(["verify-trace", str(twin_runs[0] / "trace.txt")]) != 0:

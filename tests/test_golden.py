@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from vzor import netsim
+from vzor import netsim, sig
 from vzor.cli import main
 from vzor.scenario import ScenarioConfig
 from vzor.trace import render_csv, render_trace
@@ -48,8 +48,16 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_outputs_match_golden_digests(name):
+# each scenario signed by the backend vzor.sig chose at import, then by
+# cryptography, the fallback: the same bytes either way
+@pytest.mark.parametrize(
+    "name, fallback",
+    [pytest.param(name, False, id=name) for name in sorted(SCENARIOS)]
+    + [pytest.param(name, True, id=f"{name}-cryptography") for name in sorted(SCENARIOS)],
+)
+def test_outputs_match_golden_digests(name, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(sig, "_keypair", sig._openssl_keypair)
     run_trace = netsim.run(SCENARIOS[name])
     outputs = (render_trace(run_trace), render_csv(run_trace), netsim.metrics(run_trace).to_text())
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in outputs)

@@ -1,17 +1,23 @@
 """The Ed25519 seam: a memoised verdict holds only for its exact bytes."""
 
+import itertools
 import os
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vzor import netsim, sig
 from vzor.cli import main
 from vzor.errors import UnverifiableScore
 from vzor.netsim import run
 from vzor.scenario import ScenarioConfig
+from vzor.vrf import vrf_keygen
 
 from test_scorer import split
 
+BACKENDS = ("chosen", "cryptography")
 FRAUD = "seed = 3\nepochs = 6\nadversary_behavior = wrong_median_packet\nfraud_period = 2\n"
 
 
@@ -33,6 +39,59 @@ def signer():
 def _flip_bit(data: bytes, bit: int) -> bytes:
     byte, offset = divmod(bit, 8)
     return data[:byte] + bytes([data[byte] ^ (1 << offset)]) + data[byte + 1 :]
+
+
+# the fresh_seam fixture only empties the memo, which these examples never read
+@settings(max_examples=200, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=1100))
+def test_chosen_backend_signs_as_cryptography_does(seed, message):
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    signer = sig.Signer(seed)
+    assert signer.public_key == reference.public_key().public_bytes_raw()
+    assert signer.sign_unrecorded(message) == reference.sign(message)
+    assert signer.sign(message) == reference.sign(message)
+
+
+def test_libsodium_signs_where_it_loads():
+    try:
+        sig._load_sodium()
+    except (OSError, AttributeError):
+        pytest.skip(f"{sig.SODIUM_SONAME} cannot be loaded here")
+    assert sig._keypair is not sig._openssl_keypair
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("length", [0, 31, 33, 64])
+def test_wrong_length_seed_is_refused(monkeypatch, backend, length):
+    if backend == "cryptography":
+        monkeypatch.setattr(sig, "_keypair", sig._openssl_keypair)
+    with pytest.raises(ValueError):
+        sig.Signer(b"\x21" * length)
+    with pytest.raises(ValueError):
+        vrf_keygen(b"\x21" * length)
+    with pytest.raises(TypeError):  # an int is no seed, not even 32 zero bytes
+        sig.Signer(32)
+
+
+@pytest.mark.parametrize("fault", ["none", "no_library", "public_key", "signature", "raises"])
+def test_backend_that_fails_its_self_check_is_not_chosen(monkeypatch, fault):
+    def load():
+        if fault == "no_library":
+            raise OSError(f"{sig.SODIUM_SONAME}: cannot open shared object file")
+        return keypair
+
+    def keypair(seed):
+        if fault == "raises":
+            raise OSError("crypto_sign_seed_keypair failed")
+        sign, public = sig._openssl_keypair(seed)
+        if fault == "signature":
+            return (lambda message: _flip_bit(sign(message), 0)), public
+        return sign, bytes(32) if fault == "public_key" else public
+
+    monkeypatch.setattr(sig, "_load_sodium", load)
+    # cryptography itself passes the check (its bytes are the check's), so
+    # the check is not vacuous
+    assert sig._choose() is (keypair if fault == "none" else sig._openssl_keypair)
 
 
 def test_signed_message_is_a_memo_hit(signer):
@@ -117,34 +176,38 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
     outputs = {}
     counts = {}
     in_process = netsim.SCORER_MIN_SIGNS
+    chosen = sig._keypair
     # in-process scoring first, then a forked scorer for the same run, then
     # one whose loop signs the last 130 of the 300 proofs before the pipe
-    # delivers any
-    for scoring in ("in-process", "forked", "split"):
+    # delivers any; each signing with the backend chosen at import and with
+    # cryptography, the fallback
+    for scoring, backend in itertools.product(("in-process", "forked", "split"), BACKENDS):
         monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", in_process if scoring == "in-process" else 0)
+        monkeypatch.setattr(sig, "_keypair", chosen if backend == "chosen" else sig._openssl_keypair)
         for mode in ("memo", "real"):
             if mode == "real":
                 monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
             else:
                 monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
             sig.reset()
-            out = tmp_path / scoring / mode
+            out = tmp_path / scoring / backend / mode
             with monkeypatch.context() as patch:
                 loop = split(patch, loop_signs=130) if scoring == "split" else None
                 assert main(["run", "--config", str(config), "--out", str(out)]) == 0
             assert loop is None or loop == {"signed": 130, "read": 170}
-            outputs[scoring, mode] = (out / "trace.txt").read_bytes()
-            counts[scoring, mode] = sig.counters()
+            outputs[scoring, backend, mode] = (out / "trace.txt").read_bytes()
+            counts[scoring, backend, mode] = sig.counters()
             assert "slash_count = 3" in (out / "metrics.txt").read_text()
     assert len(set(outputs.values())) == 1
-    for scoring in ("in-process", "forked", "split"):
-        memo, real = counts[scoring, "memo"], counts[scoring, "real"]
+    for scoring, backend in itertools.product(("in-process", "forked", "split"), BACKENDS):
+        memo, real = counts[scoring, backend, "memo"], counts[scoring, backend, "real"]
         assert memo.memo_hits > 0 and real.memo_hits == 0
         assert memo.signs == real.signs
         assert memo.memo_hits + memo.real_verifies == real.real_verifies
         # the real-verify mode checks every proof the scorer made, at either
         # end of its list, as it checks the proofs signed in-process
-        assert counts[scoring, "real"] == counts["in-process", "real"]
+        assert counts[scoring, backend, "real"] == counts["in-process", "chosen", "real"]
+        assert memo == counts["in-process", "chosen", "memo"]
 
 
 def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vzor import netsim, sig
+from vzor import cli, netsim, sig
 from vzor import trace as trace_mod
 from vzor.errors import TraceCorruption
 from vzor.oracle import observation_message
@@ -17,7 +17,6 @@ from vzor.trace import (
     render_trace,
     verify_trace_file,
     verify_trace_text,
-    write_trace,
 )
 from vzor.vrf import vrf_keygen
 
@@ -102,12 +101,9 @@ def test_csv_shape(fraud_trace):
 
 
 def test_written_files_round_trip(tmp_path, honest_trace):
-    trace_path = tmp_path / "trace.txt"
-    csv_path = tmp_path / "epochs.csv"
-    write_trace(honest_trace, str(trace_path))
-    csv_path.write_text(render_csv(honest_trace))
-    assert trace_path.read_text() == render_trace(honest_trace)
-    assert csv_path.read_text() == render_csv(honest_trace)
+    cli._write_run_outputs(honest_trace, str(tmp_path))
+    assert (tmp_path / "trace.txt").read_text() == render_trace(honest_trace)
+    assert (tmp_path / "epochs.csv").read_text() == render_csv(honest_trace)
 
 
 # -- structural corruption (exit 2) ---------------------------------------------------
