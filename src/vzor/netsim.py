@@ -83,20 +83,6 @@ def governed_hub(config: ScenarioConfig) -> Hub:
     return hub
 
 
-def e2e_ms(t0_ms: int, receipts: tuple[Receipt, ...]) -> Optional[int]:
-    """Latency from the epoch's pulse to the last chain's final verdict,
-    defined only when every chain accepted the packet."""
-    if receipts and all(r.accepted for r in receipts):
-        return max(r.final_ms for r in receipts) - t0_ms
-    return None
-
-
-def ledger_step(ledger: tuple[int, int], cut: int) -> tuple[int, int]:
-    """(total staked, burned) after burning ``cut`` wei of stake."""
-    total, burned = ledger
-    return total - cut, burned + cut
-
-
 def latency_bound_ms(config: ScenarioConfig) -> int:
     """tau_f_max + delta_net_max + t_prove + slack, slack = delta_net_max."""
     tau_f = max(CHAIN_PRESETS[name]().finality_ms for name in config.chains)
@@ -470,7 +456,7 @@ class Simulator:
     def _finalize(self) -> RunTrace:
         cfg = self.config
         initial_total = cfg.registry_size * cfg.initial_stake_wei
-        ledger = (initial_total, 0)
+        ledger_total, ledger_burned = initial_total, 0
         records = []
         for epoch in range(cfg.epochs):
             state = self._states[epoch]
@@ -479,22 +465,29 @@ class Simulator:
             receipts = tuple(
                 state.receipts[name] for name in cfg.chains if name in state.receipts
             )
+            t0 = self._t0(epoch)
+            # latency from the pulse to the last chain's final verdict,
+            # defined only when every chain accepted the packet
+            e2e = None
+            if receipts and all(r.accepted for r in receipts):
+                e2e = max(r.final_ms for r in receipts) - t0
             if state.slash is not None:
-                ledger = ledger_step(ledger, state.slash.total_cut)
+                ledger_total -= state.slash.total_cut
+                ledger_burned += state.slash.total_cut
             records.append(
                 EpochRecord(
                     epoch=epoch,
-                    t0_ms=self._t0(epoch),
+                    t0_ms=t0,
                     pulse_digest=state.pulse.chain_digest,
                     committee=committee,
                     packet_bytes=None if state.packet is None else state.packet.to_bytes(),
                     median=None if state.packet is None else state.packet.median,
                     receipts=receipts,
-                    e2e_ms=e2e_ms(self._t0(epoch), receipts),
+                    e2e_ms=e2e,
                     fraud_injected=state.fraud_injected,
                     slash=state.slash,
-                    ledger_total=ledger[0],
-                    ledger_burned=ledger[1],
+                    ledger_total=ledger_total,
+                    ledger_burned=ledger_burned,
                 )
             )
         total, burned = self.hub.snapshot()

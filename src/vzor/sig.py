@@ -36,8 +36,8 @@ only skips repeated work.  Setting the environment variable
 (no lookups, no new entries), so every check is a real verify.  The
 variable is read at import and again by :func:`reset`.
 
-``vzor verify-trace`` checks a trace before it replays it, so its memo
-hits come only from the replay's own re-checks of signatures it has just
+``vzor verify-trace`` only decodes a trace before it replays it, so its
+memo hits come only from the replay's own re-checks of signatures it has just
 made.  A trace identical to the replay needs no further verify; only the
 packets of blocks that differ from the replay are verified again.
 

@@ -93,15 +93,6 @@ def _output_value(proof: bytes, input_digest: bytes) -> int:
     return int.from_bytes(tagged_digest(_VRF_OUTPUT_TAG, proof, input_digest), "big")
 
 
-def _vrf_message(input_bytes: bytes) -> tuple[bytes, bytes]:
-    """(signed message, input digest) for one VRF input."""
-    return domain_message(_VRF_SIGN_TAG, input_bytes), tagged_digest(_VRF_INPUT_TAG, input_bytes)
-
-
-def _output(proof: bytes, input_digest: bytes) -> VrfOutput:
-    return VrfOutput(value=_output_value(proof, input_digest), proof=proof, input_digest=input_digest)
-
-
 def _verify(public_key: bytes, message: bytes, input_digest: bytes, out: VrfOutput) -> bool:
     if len(out.proof) != SIGNATURE_BYTES or not 0 <= out.value < VRF_ORDER:
         return False
@@ -110,19 +101,6 @@ def _verify(public_key: bytes, message: bytes, input_digest: bytes, out: VrfOutp
     if not sig.verify(public_key, message, out.proof):
         return False
     return _output_value(out.proof, input_digest) == out.value
-
-
-def vrf_evaluate(secret: ReporterSecret, input_bytes: bytes) -> VrfOutput:
-    """Score an input: sign the domain-separated message, hash to a value."""
-    if not input_bytes:
-        raise ValueError("VRF input must be non-empty")
-    message, input_digest = _vrf_message(input_bytes)
-    return _output(secret.sign(message), input_digest)
-
-
-def vrf_verify(public_key: bytes, input_bytes: bytes, out: VrfOutput) -> bool:
-    """True iff ``out`` was produced under the key matching ``public_key``."""
-    return _verify(public_key, *_vrf_message(input_bytes), out)
 
 
 def sortition_input(pulse_value: bytes, epoch: int) -> bytes:
@@ -169,7 +147,8 @@ class Committee:
 
 def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
     """(signed message, input digest) of the epoch's committee draw."""
-    return _vrf_message(sortition_input(pulse.value, epoch))
+    input_bytes = sortition_input(pulse.value, epoch)
+    return domain_message(_VRF_SIGN_TAG, input_bytes), tagged_digest(_VRF_INPUT_TAG, input_bytes)
 
 
 def sortition_signed_message(pulse: Pulse, epoch: int) -> bytes:
@@ -198,7 +177,8 @@ def evaluate_registry(
         else:
             proof = proofs[s.id]
             sig.record_own(s.public_key(), message, proof)
-        scored.append((s.identity(), _output(proof, input_digest)))
+        value = _output_value(proof, input_digest)
+        scored.append((s.identity(), VrfOutput(value=value, proof=proof, input_digest=input_digest)))
     return scored
 
 

@@ -107,16 +107,28 @@ def test_forked_run_is_identical_and_reaped(forked, in_process_trace):
     _assert_no_child()
 
 
-def test_bad_block_is_caught_before_any_replay(forked, in_process_trace):
-    lines = in_process_trace.split("\n")
-    start = lines.index("[epoch 1]")
+def _edit_e2e(text: str, epoch: int, value: str) -> str:
+    lines = text.split("\n")
+    start = lines.index(f"[epoch {epoch}]")
     at = next(i for i in range(start, len(lines)) if lines[i].startswith("e2e_ms"))
-    lines[at] = "e2e_ms 1"
-    check = verify_trace_text("\n".join(lines))
+    lines[at] = f"e2e_ms {value}"
+    return "\n".join(lines)
+
+
+def test_bad_block_is_caught_before_any_replay(forked, in_process_trace):
+    check = verify_trace_text(_edit_e2e(in_process_trace, 1, "x"))
     assert check.exit_code == 4
     assert check.problems[0].startswith("epoch 1:")
     assert forked == []
     assert sig.counters().signs == 0
+    _assert_no_child()
+
+
+def test_wrong_but_readable_block_is_replayed_and_reaped(forked, in_process_trace):
+    check = verify_trace_text(_edit_e2e(in_process_trace, 1, "1"))
+    assert check.exit_code == 4
+    assert check.problems[0].startswith("epoch 1:")
+    assert forked == [1]
     _assert_no_child()
 
 

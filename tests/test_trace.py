@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -256,13 +257,45 @@ def test_verify_catches_missing_epoch(honest_trace):
     assert any("covers epochs" in problem for problem in check.problems)
 
 
+def test_divergence_names_its_epoch_and_field(honest_trace):
+    # edits that decode are found by the replay: the report names the epoch,
+    # kind and field of an edited block line, and the number of another line
+    text = render_trace(honest_trace)
+    lines = text.split("\n")
+    e2e = honest_trace.records[0].e2e_ms
+    final = next(r.final_ms for r in honest_trace.records[0].receipts if r.chain_id == "scroll")
+    at = lines.index("[epoch 1]") + 1  # its pulse line, then its committee line
+    start = next(k for k, line in enumerate(lines) if line.startswith("ledger start"))
+    cases = [
+        (
+            _swap_line(text, "receipt chain=scroll", f"final_ms={final}", f"final_ms={final + 1}"),
+            f"epoch 0: receipt final_ms: recorded {final + 1}, deterministic replay {final}",
+        ),
+        (
+            text.replace(f"e2e_ms {e2e}", "e2e_ms 1", 1),
+            f"epoch 0: e2e_ms: recorded 1, deterministic replay {e2e}",
+        ),
+        (
+            "\n".join(lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :]),
+            f"epoch 1: recorded {lines[at + 1]!r}, deterministic replay {lines[at]!r}",
+        ),
+        (
+            _swap_line(text, "ledger start", "burned=0", "burned=00"),
+            f"line {start + 1} diverges from deterministic replay: "
+            f"recorded {lines[start] + '0'!r}, replay {lines[start]!r}",
+        ),
+    ]
+    for edited, problem in cases:
+        assert verify_trace_text(edited) == trace_mod.TraceCheck(exit_code=4, problems=(problem,))
+
+
 # -- fixed-seed fuzzing ---------------------------------------------------------------
 
 
 def test_verify_rejects_every_single_byte_edit():
     # 400 seeded single-byte printable edits of a short fraud trace: every
-    # edit that changes the text is corruption (2) or a mismatch (4), and
-    # verification never raises
+    # edit that changes the text is corruption (2) or a mismatch (4) that
+    # names its epoch or line, and verification never raises
     text = render_trace(
         netsim.run(
             ScenarioConfig(
@@ -275,7 +308,13 @@ def test_verify_rejects_every_single_byte_edit():
         pos = rng.randrange(len(text))
         edited = text[:pos] + chr(rng.randrange(32, 127)) + text[pos + 1 :]
         if edited != text:
-            assert verify_trace_text(edited).exit_code in (2, 4), (pos, edited[pos])
+            check = verify_trace_text(edited)
+            assert check.exit_code in (2, 4), (pos, edited[pos])
+            if check.exit_code == 4:
+                first = check.problems[0]
+                assert re.match(r"(epoch \d+:|line \d+ )", first) or first.startswith(
+                    "trace covers epochs"
+                ), first
 
 
 # -- checks first, then one replay ------------------------------------------------------

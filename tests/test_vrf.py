@@ -11,46 +11,33 @@ from vzor.vrf import (
     prediction_bound,
     select_committee,
     sortition_input,
-    vrf_evaluate,
     vrf_keygen,
-    vrf_verify,
 )
 
 
-def test_evaluate_is_deterministic(key_pool):
-    secret = key_pool[3]
-    a = vrf_evaluate(secret, b"input")
-    b = vrf_evaluate(secret, b"input")
+def test_evaluate_is_deterministic(key_pool, pulses):
+    a = evaluate_registry(key_pool, pulses[1], 1)
+    b = evaluate_registry(key_pool, pulses[1], 1)
     assert a == b
-    assert 0 <= a.value < VRF_ORDER
+    assert all(0 <= out.value < VRF_ORDER for _, out in a)
 
 
-def test_verify_accepts_honest_output(key_pool):
-    secret = key_pool[0]
-    out = vrf_evaluate(secret, b"epoch-7")
-    assert vrf_verify(secret.public_key(), b"epoch-7", out)
+def test_verify_accepts_honest_output(key_pool, pulses):
+    # a committee of the whole registry verifies every reporter's proof
+    scored = evaluate_registry(key_pool, pulses[1], 1)
+    committee = select_committee(
+        pulses[1], 1, scored, SortitionParams(committee_size=len(key_pool))
+    )
+    assert sorted(committee.member_ids()) == list(range(len(key_pool)))
 
 
-def test_verify_rejects_wrong_input(key_pool):
-    out = vrf_evaluate(key_pool[0], b"epoch-7")
-    assert not vrf_verify(key_pool[0].public_key(), b"epoch-8", out)
-
-
-def test_verify_rejects_wrong_key(key_pool):
-    out = vrf_evaluate(key_pool[0], b"x")
-    assert not vrf_verify(key_pool[1].public_key(), b"x", out)
-
-
-def test_verify_rejects_tampered_proof(key_pool):
-    out = vrf_evaluate(key_pool[0], b"x")
-    forged = dataclasses.replace(out, proof=bytes(64))
-    assert not vrf_verify(key_pool[0].public_key(), b"x", forged)
-
-
-def test_verify_rejects_forged_value(key_pool):
-    out = vrf_evaluate(key_pool[0], b"x")
-    forged = dataclasses.replace(out, value=(out.value + 1) % VRF_ORDER)
-    assert not vrf_verify(key_pool[0].public_key(), b"x", forged)
+def test_verify_rejects_wrong_key(key_pool, pulses):
+    # member 8's whole score, value included, offered under member 7's key:
+    # only the signature check can tell
+    scored = evaluate_registry(key_pool, pulses[1], 1)
+    scored[7] = (scored[7][0], scored[8][1])
+    with pytest.raises(UnverifiableScore):
+        select_committee(pulses[1], 1, scored, SortitionParams(committee_size=len(key_pool)))
 
 
 def test_keygen_deterministic():
@@ -96,6 +83,37 @@ def test_forged_low_score_is_caught(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[3], 3)
     cheater_ident, cheater_out = scored[7]
     scored[7] = (cheater_ident, dataclasses.replace(cheater_out, value=0))
+    with pytest.raises(UnverifiableScore):
+        select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
+
+
+def test_verify_rejects_forged_value(key_pool, pulses):
+    # a value off by one from the proof's hash, not a conspicuous 0
+    scored = evaluate_registry(key_pool, pulses[3], 3)
+    cheater_ident, cheater_out = scored[7]
+    forged = dataclasses.replace(cheater_out, value=(cheater_out.value + 1) % VRF_ORDER)
+    scored[7] = (cheater_ident, forged)
+    with pytest.raises(UnverifiableScore):
+        select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
+
+
+# edits of a cheater's epoch-3 score besides its value, given its own score,
+# another member's score and its own epoch-2 score; the edited score is then
+# forced to 0 as in test_forged_low_score_is_caught
+SCORE_EDITS = {
+    "zeroed_proof": lambda own, other, earlier: dataclasses.replace(own, proof=bytes(64)),
+    "other_members_key": lambda own, other, earlier: dataclasses.replace(own, proof=other.proof),
+    "other_epochs_proof": lambda own, other, earlier: earlier,
+}
+
+
+@pytest.mark.parametrize("edit", SCORE_EDITS.values(), ids=SCORE_EDITS.keys())
+def test_edited_low_score_is_caught(key_pool, pulses, edit):
+    scored = evaluate_registry(key_pool, pulses[3], 3)
+    earlier = evaluate_registry(key_pool, pulses[2], 2)[7][1]
+    cheater_ident, cheater_out = scored[7]
+    forged = edit(cheater_out, scored[8][1], earlier)
+    scored[7] = (cheater_ident, dataclasses.replace(forged, value=0))
     with pytest.raises(UnverifiableScore):
         select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
 
