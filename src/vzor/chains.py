@@ -71,13 +71,6 @@ class ChainConfig:
         return self.finality_blocks * self.block_time_ms
 
 
-def gas_cost(config: ChainConfig, op_kind: str) -> int:
-    """Constant gas for one operation kind on one chain."""
-    if op_kind not in config.gas_table:
-        raise UnknownOperation(f"chain {config.chain_id} has no operation {op_kind!r}")
-    return config.gas_table[op_kind]
-
-
 def sepolia() -> ChainConfig:
     """L1 testnet profile: 15 s blocks, single-block finality."""
     return ChainConfig(
@@ -131,7 +124,9 @@ class Chain:
         return self.config.chain_id
 
     def charge(self, op_kind: str) -> int:
-        cost = gas_cost(self.config, op_kind)
+        if op_kind not in self.config.gas_table:
+            raise UnknownOperation(f"chain {self.chain_id} has no operation {op_kind!r}")
+        cost = self.config.gas_table[op_kind]
         self.gas_by_op[op_kind] = self.gas_by_op.get(op_kind, 0) + cost
         return cost
 

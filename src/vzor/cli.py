@@ -54,7 +54,7 @@ def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioC
 
 def _write_run_outputs(run_trace: netsim.RunTrace, out_dir: str) -> netsim.MetricsSummary:
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.txt"), run_trace.config_text)
+    _atomic_write(os.path.join(out_dir, "config.txt"), canonical_text(run_trace.config))
     _atomic_write(os.path.join(out_dir, "trace.txt"), trace_mod.render_trace(run_trace))
     _atomic_write(os.path.join(out_dir, "epochs.csv"), trace_mod.render_csv(run_trace))
     summary = netsim.metrics(run_trace)

@@ -27,7 +27,7 @@ import signal
 import statistics
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .beacon import BeaconParams, Pulse, make_chain
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
@@ -36,7 +36,7 @@ from .errors import QuorumNotMet, RegistryTooSmall
 from .hub import Hub, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
-from .scenario import ScenarioConfig, canonical_text
+from .scenario import ScenarioConfig
 from .vrf import (
     SIGNATURE_BYTES,
     Committee,
@@ -81,6 +81,17 @@ def governed_hub(config: ScenarioConfig) -> Hub:
     for item in config.governance:
         hub.propose_update(item.parameter, item.value, item.at_epoch)
     return hub
+
+
+def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceRecord, ...]:
+    """The hub's updates that take effect within ``epochs``, in the order
+    they do: by effective epoch, ties in proposal order."""
+    updates = sorted(hub.updates, key=lambda u: u.effective_epoch)
+    return tuple(
+        GovernanceRecord(u.effective_epoch, u.parameter, u.value)
+        for u in updates
+        if u.effective_epoch < epochs
+    )
 
 
 def latency_bound_ms(config: ScenarioConfig) -> int:
@@ -129,11 +140,8 @@ class EpochRecord:
 @dataclass(frozen=True)
 class RunTrace:
     config: ScenarioConfig
-    config_text: str
-    chain_ids: tuple[str, ...]
     records: tuple[EpochRecord, ...]
     governance_records: tuple[GovernanceRecord, ...]
-    initial_total: int
     final_total: int
     final_burned: int
     gas_totals: tuple[tuple[str, str, int], ...]  # (chain_id, op, total), fixed order
@@ -260,8 +268,11 @@ class Simulator:
 
     A run with at least SCORER_MIN_SIGNS sortition signs makes its VRF
     proofs ahead, one forked scorer process and the loop signing from the
-    two ends of one list (see ``_Scorer``).  :meth:`run` drains the loop
-    and reaps the scorer, also when a handler raises.
+    two ends of one list (see ``_Scorer``).  :meth:`epochs` drives the loop
+    and hands on each epoch's record as soon as it is final, dropping the
+    epoch's state; it reaps the scorer when it ends, is closed, or a
+    handler raises.  :meth:`run` collects it.  Governance updates only
+    charge gas and are recorded, so both are done here at construction.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -297,19 +308,15 @@ class Simulator:
         self._seq = 0
         self._now = 0
         self._states: dict[int, _EpochState] = {}
-        self._governance_records: list[GovernanceRecord] = []
+        self._pending = [0] * config.epochs  # queued events of each epoch
+        self._initial_total, self._burned = self.hub.snapshot()
 
         for epoch in range(config.epochs):
             self._push(self._t0(epoch), self._on_pulse, epoch)
-        for update in self.hub.updates:
-            if update.effective_epoch < config.epochs:
-                self._push(
-                    self._t0(update.effective_epoch),
-                    self._on_governance_effective,
-                    update.effective_epoch,
-                    update.parameter,
-                    update.value,
-                )
+        self.governance_records = governance_records(self.hub, config.epochs)
+        for chain in self.chains:
+            for _ in self.governance_records:
+                chain.charge(OP_GOVERNANCE)
 
     # -- setup helpers ----------------------------------------------------------
 
@@ -327,27 +334,51 @@ class Simulator:
     def _delay(self, rng: random.Random) -> int:
         return rng.randint(self.config.delta_net_min_ms, self.config.delta_net_max_ms)
 
-    def _push(self, fire_ms: int, handler: Callable[..., None], *args) -> None:
-        """Schedule ``handler(*args)`` at ``fire_ms``; ties fire in push order."""
+    def _push(self, fire_ms: int, handler: Callable[..., None], epoch: int, *args) -> None:
+        """Schedule ``handler(epoch, *args)`` at ``fire_ms``; ties fire in push order."""
         if fire_ms < self._now:
             raise AssertionError("event scheduled in the past")
         self._seq += 1
-        heapq.heappush(self._heap, (fire_ms, self._seq, handler, args))
+        self._pending[epoch] += 1
+        heapq.heappush(self._heap, (fire_ms, self._seq, handler, (epoch, *args)))
 
     def _t0(self, epoch: int) -> int:
         return epoch * self.config.epoch_interval_ms
 
     # -- event loop ---------------------------------------------------------------
 
-    def run(self) -> RunTrace:
-        heap = self._heap
+    def epochs(self) -> Iterator[EpochRecord]:
+        """Run the event loop, yielding each epoch's record in epoch order
+        once no event of it or of an earlier epoch is queued."""
+        heap, pending = self._heap, self._pending
+        final = 0  # the epochs before it are yielded
         try:
             while heap:
                 self._now, _, handler, args = heapq.heappop(heap)
                 handler(*args)
+                pending[args[0]] -= 1
+                while final < len(pending) and not pending[final]:
+                    yield self._record(final)
+                    final += 1
         finally:
             self._scorer.close()
-        return self._finalize()
+
+    def run(self) -> RunTrace:
+        records = tuple(self.epochs())
+        total, burned = self.hub.snapshot()
+        gas_totals = tuple(
+            (chain.chain_id, op, chain.gas_by_op[op])
+            for chain in self.chains
+            for op in sorted(chain.gas_by_op)
+        )
+        return RunTrace(
+            config=self.config,
+            records=records,
+            governance_records=self.governance_records,
+            final_total=total,
+            final_burned=burned,
+            gas_totals=gas_totals,
+        )
 
     def _on_pulse(self, epoch: int) -> None:
         self._states[epoch] = _EpochState(pulse=self.pulses[epoch])
@@ -444,68 +475,36 @@ class Simulator:
             total_cut=report.total_cut,
         )
 
-    def _on_governance_effective(self, effective_epoch: int, parameter: str, value: int) -> None:
-        for chain in self.chains:
-            chain.charge(OP_GOVERNANCE)
-        self._governance_records.append(
-            GovernanceRecord(effective_epoch=effective_epoch, parameter=parameter, value=value)
-        )
+    # -- records ------------------------------------------------------------------
 
-    # -- trace assembly -------------------------------------------------------------
-
-    def _finalize(self) -> RunTrace:
-        cfg = self.config
-        initial_total = cfg.registry_size * cfg.initial_stake_wei
-        ledger_total, ledger_burned = initial_total, 0
-        records = []
-        for epoch in range(cfg.epochs):
-            state = self._states[epoch]
-            members = () if state.committee is None else state.committee.members
-            committee = tuple(sorted((i.id, i.public_key) for i, _ in members))
-            receipts = tuple(
-                state.receipts[name] for name in cfg.chains if name in state.receipts
-            )
-            t0 = self._t0(epoch)
-            # latency from the pulse to the last chain's final verdict,
-            # defined only when every chain accepted the packet
-            e2e = None
-            if receipts and all(r.accepted for r in receipts):
-                e2e = max(r.final_ms for r in receipts) - t0
-            if state.slash is not None:
-                ledger_total -= state.slash.total_cut
-                ledger_burned += state.slash.total_cut
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    t0_ms=t0,
-                    pulse_digest=state.pulse.chain_digest,
-                    committee=committee,
-                    packet_bytes=None if state.packet is None else state.packet.to_bytes(),
-                    median=None if state.packet is None else state.packet.median,
-                    receipts=receipts,
-                    e2e_ms=e2e,
-                    fraud_injected=state.fraud_injected,
-                    slash=state.slash,
-                    ledger_total=ledger_total,
-                    ledger_burned=ledger_burned,
-                )
-            )
-        total, burned = self.hub.snapshot()
-        gas_totals = tuple(
-            (chain.chain_id, op, chain.gas_by_op[op])
-            for chain in self.chains
-            for op in sorted(chain.gas_by_op)
+    def _record(self, epoch: int) -> EpochRecord:
+        """The final record of ``epoch``, whose state it drops; epochs come in order."""
+        state = self._states.pop(epoch)
+        members = () if state.committee is None else state.committee.members
+        receipts = tuple(
+            state.receipts[name] for name in self.config.chains if name in state.receipts
         )
-        return RunTrace(
-            config=cfg,
-            config_text=canonical_text(cfg),
-            chain_ids=tuple(cfg.chains),
-            records=tuple(records),
-            governance_records=tuple(self._governance_records),
-            initial_total=initial_total,
-            final_total=total,
-            final_burned=burned,
-            gas_totals=gas_totals,
+        t0 = self._t0(epoch)
+        # latency from the pulse to the last chain's final verdict,
+        # defined only when every chain accepted the packet
+        e2e = None
+        if receipts and all(r.accepted for r in receipts):
+            e2e = max(r.final_ms for r in receipts) - t0
+        if state.slash is not None:
+            self._burned += state.slash.total_cut
+        return EpochRecord(
+            epoch=epoch,
+            t0_ms=t0,
+            pulse_digest=state.pulse.chain_digest,
+            committee=tuple(sorted((i.id, i.public_key) for i, _ in members)),
+            packet_bytes=None if state.packet is None else state.packet.to_bytes(),
+            median=None if state.packet is None else state.packet.median,
+            receipts=receipts,
+            e2e_ms=e2e,
+            fraud_injected=state.fraud_injected,
+            slash=state.slash,
+            ledger_total=self._initial_total - self._burned,
+            ledger_burned=self._burned,
         )
 
 

@@ -64,9 +64,6 @@ class Witness:
     committee_digest: bytes
     entries: tuple[WitnessEntry, ...]
 
-    def signer_ids(self) -> tuple[int, ...]:
-        return tuple(e.reporter_id for e in self.entries)
-
     def values(self) -> list[int]:
         return [e.value for e in self.entries]
 

@@ -36,10 +36,10 @@ only skips repeated work.  Setting the environment variable
 (no lookups, no new entries), so every check is a real verify.  The
 variable is read at import and again by :func:`reset`.
 
-``vzor verify-trace`` only decodes a trace before it replays it, so its
-memo hits come only from the replay's own re-checks of signatures it has just
-made.  A trace identical to the replay needs no further verify; only the
-packets of blocks that differ from the replay are verified again.
+``vzor verify-trace`` decodes no block before the replay, so its memo hits
+come only from the replay's own re-checks of signatures it has just made.  A
+trace identical to the replay needs no further verify; the replay stops at
+the first block that differs, and only that block's packet is verified again.
 
 The module counts signs, real verifies and memo hits; :func:`counters`
 returns a snapshot.  A signature recorded with :func:`record_own` counts

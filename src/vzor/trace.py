@@ -5,9 +5,10 @@ echo, governance records, then one block per epoch with the pulse
 digest, committee keys, full packet bytes, per-chain receipts, latency,
 and ledger totals.  It carries everything needed to re-check the run:
 packets re-verify from the committee keys alone, and the embedded
-config reproduces the entire simulation.  Verification decodes every
-block, replays the config once, and compares the bytes; the protocol
-rules themselves live only in the modules the replay runs.
+config reproduces the entire simulation.  Verification replays the config
+once and compares each epoch's block with the replay's as the replay
+closes it, stopping at the first that differs; the protocol rules
+themselves live only in the modules the replay runs.
 
 Verification distinguishes two failure classes.  File-level damage
 (missing header, broken section structure, unreadable config) is
@@ -19,6 +20,7 @@ with its epoch.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +29,7 @@ from .chains import Receipt
 from .errors import TraceCorruption
 from .packets import OraclePacket
 from .proofs import verify
-from .scenario import parse_config
+from .scenario import ScenarioConfig, canonical_text, parse_config
 from .vrf import Committee, ReporterIdentity, VrfOutput
 
 TRACE_HEADER = "vzor-trace v1"
@@ -45,50 +47,64 @@ def ms_to_s_text(ms: int) -> str:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_trace(trace: netsim.RunTrace) -> str:
-    lines = [TRACE_HEADER, "[config]"]
-    lines.extend(trace.config_text.rstrip("\n").split("\n"))
-    lines.append("[/config]")
-    lines.append(f"chains {','.join(trace.chain_ids)}")
-    lines.append(f"ledger start total={trace.initial_total} burned=0")
-    for record in trace.governance_records:
+def render_head(config: ScenarioConfig) -> str:
+    """The trace's lines before its first epoch block: header, config echo,
+    chains, the starting ledger and the governance records."""
+    hub = netsim.governed_hub(config)
+    total, burned = hub.snapshot()
+    lines = [
+        TRACE_HEADER,
+        "[config]",
+        canonical_text(config).rstrip("\n"),
+        "[/config]",
+        f"chains {','.join(config.chains)}",
+        f"ledger start total={total} burned={burned}",
+    ]
+    for record in netsim.governance_records(hub, config.epochs):
         lines.append(
             f"governance effective={record.effective_epoch} "
             f"param={record.parameter} value={record.value}"
         )
-    for rec in trace.records:
-        lines.append(f"[epoch {rec.epoch}]")
-        lines.append(f"pulse digest={rec.pulse_digest.hex()}")
-        committee = ",".join(f"{rid}:{pk.hex()}" for rid, pk in rec.committee)
-        lines.append(f"committee {committee or 'none'}")
-        if rec.packet_bytes is None:
-            lines.append("packet none")
-            lines.append("median none")
-        else:
-            lines.append(f"packet {rec.packet_bytes.hex()}")
-            lines.append(f"median {rec.median}")
-        for receipt in rec.receipts:
-            lines.append(
-                f"receipt chain={receipt.chain_id} accepted={1 if receipt.accepted else 0} "
-                f"reason={receipt.reason} gas={receipt.gas_used} block={receipt.block} "
-                f"final_ms={receipt.final_ms}"
-            )
-        lines.append(f"e2e_ms {'none' if rec.e2e_ms is None else rec.e2e_ms}")
-        lines.append(f"fraud injected={1 if rec.fraud_injected else 0}")
-        if rec.slash is None:
-            lines.append("slash none")
-        else:
-            s = rec.slash
-            lines.append(
-                f"slash origin={s.origin_chain} emitted_ms={s.emitted_ms} "
-                f"applied_ms={s.applied_ms} latency_ms={s.latency_ms} "
-                f"cut={s.per_reporter_cut} total={s.total_cut} "
-                f"ids={';'.join(str(i) for i in s.slashed)}"
-            )
-        lines.append(f"ledger total={rec.ledger_total} burned={rec.ledger_burned}")
-        lines.append("[/epoch]")
-    lines.append("[end]")
     return "\n".join(lines) + "\n"
+
+
+def render_block(rec: netsim.EpochRecord) -> str:
+    """One epoch's block, from its ``[epoch N]`` line to its ``[/epoch]`` line."""
+    lines = [f"[epoch {rec.epoch}]", f"pulse digest={rec.pulse_digest.hex()}"]
+    committee = ",".join(f"{rid}:{pk.hex()}" for rid, pk in rec.committee)
+    lines.append(f"committee {committee or 'none'}")
+    if rec.packet_bytes is None:
+        lines.append("packet none")
+        lines.append("median none")
+    else:
+        lines.append(f"packet {rec.packet_bytes.hex()}")
+        lines.append(f"median {rec.median}")
+    for receipt in rec.receipts:
+        lines.append(
+            f"receipt chain={receipt.chain_id} accepted={1 if receipt.accepted else 0} "
+            f"reason={receipt.reason} gas={receipt.gas_used} block={receipt.block} "
+            f"final_ms={receipt.final_ms}"
+        )
+    lines.append(f"e2e_ms {'none' if rec.e2e_ms is None else rec.e2e_ms}")
+    lines.append(f"fraud injected={1 if rec.fraud_injected else 0}")
+    if rec.slash is None:
+        lines.append("slash none")
+    else:
+        s = rec.slash
+        lines.append(
+            f"slash origin={s.origin_chain} emitted_ms={s.emitted_ms} "
+            f"applied_ms={s.applied_ms} latency_ms={s.latency_ms} "
+            f"cut={s.per_reporter_cut} total={s.total_cut} "
+            f"ids={';'.join(str(i) for i in s.slashed)}"
+        )
+    lines.append(f"ledger total={rec.ledger_total} burned={rec.ledger_burned}")
+    lines.append("[/epoch]")
+    return "\n".join(lines) + "\n"
+
+
+def render_trace(trace: netsim.RunTrace) -> str:
+    blocks = "".join(render_block(rec) for rec in trace.records)
+    return render_head(trace.config) + blocks + "[end]\n"
 
 
 def csv_row(cells) -> str:
@@ -97,7 +113,7 @@ def csv_row(cells) -> str:
 
 
 def render_csv(trace: netsim.RunTrace) -> str:
-    chains = trace.chain_ids
+    chains = trace.config.chains
     header = (
         ["epoch", "committee_ids", "median"]
         + [f"accepted_{c}" for c in chains]
@@ -126,11 +142,8 @@ def render_csv(trace: netsim.RunTrace) -> str:
 @dataclass(frozen=True)
 class ParsedTrace:
     config_text: str
-    chain_ids: tuple[str, ...]
-    initial_total: int
-    governance_lines: tuple[str, ...]
-    epochs: tuple[tuple[int, tuple[str, ...]], ...]  # (epoch number, block lines)
-    text: str
+    head: str  # the text before the first epoch block
+    epochs: tuple[tuple[int, str], ...]  # (epoch number, its block's text)
 
 
 def parse_trace(text: str) -> ParsedTrace:
@@ -142,60 +155,49 @@ def parse_trace(text: str) -> ParsedTrace:
     if i >= len(lines) or lines[i] != "[config]":
         raise TraceCorruption("missing config section")
     i += 1
-    config_lines = []
     while i < len(lines) and lines[i] != "[/config]":
-        config_lines.append(lines[i])
         i += 1
     if i >= len(lines):
         raise TraceCorruption("unterminated config section")
+    config_text = "\n".join(lines[2:i]) + "\n"
     i += 1
     if i >= len(lines) or not lines[i].startswith("chains "):
         raise TraceCorruption("missing chains line")
-    chain_ids = tuple(c for c in lines[i][len("chains ") :].split(",") if c)
-    if not chain_ids:
+    if not any(lines[i][len("chains ") :].split(",")):
         raise TraceCorruption("empty chain list")
     i += 1
     if i >= len(lines) or not lines[i].startswith("ledger start total="):
         raise TraceCorruption("missing ledger start line")
     try:
-        initial_total = int(_fields(lines[i], "ledger start ")["total"])
+        int(_fields(lines[i], "ledger start ")["total"])
     except (ValueError, KeyError) as exc:
         raise TraceCorruption(f"bad ledger start line: {exc}") from exc
     i += 1
-    governance = []
     while i < len(lines) and lines[i].startswith("governance "):
-        governance.append(lines[i])
         i += 1
+    head = "\n".join(lines[:i]) + "\n"
     epochs = []
     while i < len(lines) and lines[i] != "[end]":
-        head = lines[i]
-        if not (head.startswith("[epoch ") and head.endswith("]")):
-            raise TraceCorruption(f"expected epoch header, got {head!r}")
+        start = i
+        opener = lines[i]
+        if not (opener.startswith("[epoch ") and opener.endswith("]")):
+            raise TraceCorruption(f"expected epoch header, got {opener!r}")
         try:
-            epoch = int(head[len("[epoch ") : -1])
+            epoch = int(opener[len("[epoch ") : -1])
         except ValueError as exc:
-            raise TraceCorruption(f"bad epoch header {head!r}") from exc
+            raise TraceCorruption(f"bad epoch header {opener!r}") from exc
         i += 1
-        block = []
         while i < len(lines) and lines[i] != "[/epoch]":
             if lines[i].startswith("[epoch ") or lines[i] == "[end]":
                 raise TraceCorruption(f"unterminated block for epoch {epoch}")
-            block.append(lines[i])
             i += 1
         if i >= len(lines):
             raise TraceCorruption(f"unterminated block for epoch {epoch}")
         i += 1
-        epochs.append((epoch, tuple(block)))
-    if i >= len(lines) or lines[i] != "[end]":
-        raise TraceCorruption("missing end marker")
-    return ParsedTrace(
-        config_text="\n".join(config_lines) + "\n",
-        chain_ids=chain_ids,
-        initial_total=initial_total,
-        governance_lines=tuple(governance),
-        epochs=tuple(epochs),
-        text=text,
-    )
+        epochs.append((epoch, "\n".join(lines[start:i]) + "\n"))
+    if lines[i:] != ["[end]", ""]:
+        raise TraceCorruption("missing end marker, or text after it")
+    return ParsedTrace(config_text=config_text, head=head, epochs=tuple(epochs))
 
 
 # -- verification ---------------------------------------------------------------
@@ -246,7 +248,7 @@ def _int_or_none(text: str) -> Optional[int]:
     return None if text == "none" else int(text)
 
 
-def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block:
+def _decode_block(epoch: int, block: list[str]) -> _Block:
     """Decode one epoch block; ValueError says why it cannot be decoded."""
     lines: dict[str, list[str]] = {kind: [] for kind in _BLOCK_KINDS}
     for line in block:
@@ -313,83 +315,26 @@ def _decode_block(epoch: int, block: tuple[str, ...]) -> _Block:
         raise ValueError(f"unreadable record: {exc}") from exc
 
 
-def _first_difference(recorded: str, replayed: str) -> str:
-    """Name the first line where ``recorded`` departs from ``replayed``: by
-    epoch, kind and field inside an epoch block, by number elsewhere."""
-    epoch = None
+def _first_difference(recorded: str, replayed: str) -> tuple[int, Optional[str], Optional[str]]:
+    """The number of the first line where two texts differ, and both lines."""
     pairs = itertools.zip_longest(recorded.split("\n"), replayed.split("\n"))
-    for k, (a, b) in enumerate(pairs, 1):
-        if a != b:
-            break
-        if a.startswith("[epoch "):
-            epoch = a[len("[epoch ") : -1]
-        elif a == "[/epoch]":
-            epoch = None
-    if epoch is None:
-        return f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
-    kind, *a_words = a.split(" ")
-    b_kind, *b_words = b.split(" ")
-    if kind != b_kind or len(a_words) != len(b_words):
-        return f"epoch {epoch}: recorded {a!r}, deterministic replay {b!r}"
-    x, y = next(pair for pair in zip(a_words, b_words) if pair[0] != pair[1])
-    key, eq, x_value = x.partition("=")
-    if eq and y.startswith(key + "="):
-        kind, x, y = f"{kind} {key}", x_value, y[len(key) + 1 :]
-    return f"epoch {epoch}: {kind}: recorded {x}, deterministic replay {y}"
+    return next((k, a, b) for k, (a, b) in enumerate(pairs, 1) if a != b)
 
 
-def verify_trace_text(text: str) -> TraceCheck:
-    """Decode a trace, then replay it.
-
-    Each epoch block is decoded and dropped; a block that does not decode
-    exits 4 with its epoch and no replay runs.  Otherwise
-    :func:`netsim.run` replays the embedded config, and the trace is
-    accepted only if the replay renders to the same bytes: the replay's
-    chains verified exactly those packets against exactly those
-    committees, and its gas, latency, slashing and ledger rules are the
-    ones the run used, so no rule is checked a second time here.
-
-    When the bytes differ, only the blocks that differ from the replay's
-    are decoded again, and each one's packet is re-verified against its
-    recorded committee, so an altered signature is reported with its epoch
-    and verdict.  If every verdict matches its receipts, the first
-    diverging line is reported, with its epoch and field when it lies in
-    an epoch block.
-    """
+def _block_problems(
+    config: ScenarioConfig, epoch: int, recorded: str, replayed: str
+) -> tuple[str, ...]:
+    """Why epoch ``epoch``'s recorded block is not the replay's: it cannot
+    be decoded, or its packet's verdict is not its receipts', or else its
+    first diverging line, by kind and field."""
     try:
-        parsed = parse_trace(text)
-        config = parse_config(parsed.config_text)
-        config.validate()
-    except Exception as exc:
-        return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
-
-    problems: list[str] = []
-    seen = [epoch for epoch, _ in parsed.epochs]
-    if seen != list(range(config.epochs)):
-        problems.append(
-            f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
-            f"but config says 0..{config.epochs - 1}"
-        )
-    for epoch, lines in parsed.epochs:
-        try:
-            _decode_block(epoch, lines)
-        except ValueError as exc:
-            problems.append(f"epoch {epoch}: {exc}")
-    if problems:
-        return TraceCheck(exit_code=4, problems=tuple(problems))
-
-    regenerated = render_trace(netsim.run(config))
-    if regenerated == parsed.text:
-        return TraceCheck(exit_code=0, problems=())
-
-    hub = netsim.governed_hub(config)
-    for (epoch, lines), (_, replayed) in zip(parsed.epochs, parse_trace(regenerated).epochs):
-        block = _decode_block(epoch, lines) if lines != replayed else None
-        if block is None or block.packet is None or block.committee is None:
-            continue
-        result = verify(
-            block.packet, block.committee, config.aggregation_params(hub.effective_params(epoch))
-        )
+        block = _decode_block(epoch, recorded.split("\n")[1:-2])
+    except ValueError as exc:
+        return (f"epoch {epoch}: {exc}",)
+    problems = []
+    if block.packet is not None and block.committee is not None:
+        governed = netsim.governed_hub(config).effective_params(epoch)
+        result = verify(block.packet, block.committee, config.aggregation_params(governed))
         for receipt in block.receipts:
             if receipt.accepted != result.accepted:
                 problems.append(
@@ -401,9 +346,71 @@ def verify_trace_text(text: str) -> TraceCheck:
                     f"epoch {epoch}: chain {receipt.chain_id} recorded reason "
                     f"{receipt.reason!r} but replay says {result.reason()!r}"
                 )
-    if not problems:
-        problems.append(_first_difference(parsed.text, regenerated))
-    return TraceCheck(exit_code=4, problems=tuple(problems))
+    if problems:
+        return tuple(problems)
+    _, a, b = _first_difference(recorded, replayed)
+    kind, *a_words = a.split(" ")
+    b_kind, *b_words = b.split(" ")
+    if kind != b_kind or len(a_words) != len(b_words):
+        return (f"epoch {epoch}: recorded {a!r}, deterministic replay {b!r}",)
+    x, y = next(pair for pair in zip(a_words, b_words) if pair[0] != pair[1])
+    key, eq, x_value = x.partition("=")
+    if eq and y.startswith(key + "="):
+        kind, x, y = f"{kind} {key}", x_value, y[len(key) + 1 :]
+    if max(len(x), len(y)) > 64:  # a hex word: quote from its first differing character
+        at = len(os.path.commonprefix((x, y)))
+        kind, x, y = f"{kind} at offset {at}", x[at : at + 16], y[at : at + 16]
+    return (f"epoch {epoch}: {kind}: recorded {x}, deterministic replay {y}",)
+
+
+def verify_trace_text(text: str) -> TraceCheck:
+    """Check a trace against one replay of its embedded config, epoch by epoch.
+
+    The head (config echo, chains, starting ledger, governance) must be
+    what :func:`render_head` makes of the config; a difference is reported
+    by line number and nothing is replayed.  Then the replay's
+    :meth:`netsim.Simulator.epochs` hands on each epoch as it closes, and
+    the recorded block must render to the same bytes.  The replay's chains
+    verified exactly those packets against exactly those committees, and
+    its gas, latency, slashing and ledger rules are the ones the run used,
+    so no rule is checked a second time here.
+
+    The first block that differs stops the replay, and only it is decoded:
+    it is reported as unreadable, or by its packet re-verified against its
+    recorded committee when the verdict is not its receipts', or else by
+    its first diverging line, with its kind and field.
+    """
+    try:
+        parsed = parse_trace(text)
+        config = parse_config(parsed.config_text)
+        config.validate()
+    except Exception as exc:
+        return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
+
+    seen = [epoch for epoch, _ in parsed.epochs]
+    if seen != list(range(config.epochs)):
+        problem = (
+            f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
+            f"but config says 0..{config.epochs - 1}"
+        )
+        return TraceCheck(exit_code=4, problems=(problem,))
+    head = render_head(config)
+    if parsed.head != head:
+        k, a, b = _first_difference(parsed.head, head)
+        problem = f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
+        return TraceCheck(exit_code=4, problems=(problem,))
+
+    replay = netsim.Simulator(config).epochs()
+    try:
+        for (epoch, recorded), record in zip(parsed.epochs, replay):
+            replayed = render_block(record)
+            if recorded != replayed:
+                return TraceCheck(
+                    exit_code=4, problems=_block_problems(config, epoch, recorded, replayed)
+                )
+    finally:
+        replay.close()
+    return TraceCheck(exit_code=0, problems=())
 
 
 def verify_trace_file(path: str) -> TraceCheck:

@@ -21,7 +21,6 @@ from vzor.chains import (
     OP_GOVERNANCE,
     OP_VERIFY,
     Chain,
-    gas_cost,
     scroll,
     sepolia,
 )
@@ -88,15 +87,16 @@ def twin_runs(tmp_path_factory):
 def test_criterion_01_gas_model(make_packet, agg_params):
     started = time.monotonic()
     l1, l2 = sepolia(), scroll()
+    c1, c2 = Chain(config=l1), Chain(config=l2)
     table_ok = (
-        gas_cost(l1, OP_VERIFY) == 296_112
-        and gas_cost(l2, OP_VERIFY) == 88_029
-        and gas_cost(l1, OP_FRAUD) == 52_341
-        and gas_cost(l2, OP_FRAUD) == 17_904
-        and gas_cost(l1, OP_GOVERNANCE) == 38_220
-        and gas_cost(l2, OP_GOVERNANCE) == 11_706
+        c1.charge(OP_VERIFY) == 296_112
+        and c2.charge(OP_VERIFY) == 88_029
+        and c1.charge(OP_FRAUD) == 52_341
+        and c2.charge(OP_FRAUD) == 17_904
+        and c1.charge(OP_GOVERNANCE) == 38_220
+        and c2.charge(OP_GOVERNANCE) == 11_706
     )
-    ceiling_ok = gas_cost(l1, OP_VERIFY) <= GAS_CEILING and gas_cost(l2, OP_VERIFY) <= GAS_CEILING
+    ceiling_ok = l1.gas_table[OP_VERIFY] <= GAS_CEILING and l2.gas_table[OP_VERIFY] <= GAS_CEILING
     packet, committee = make_packet(epoch=1)
     charged = []
     for config in (l1, l2):
@@ -217,11 +217,12 @@ def test_criterion_06_slashing_biconditional(fraud480):
     membership_ok = True
     for record in slash_records:
         witness = OraclePacket.from_bytes(record.packet_bytes).witness
-        if set(record.slash.slashed) != set(witness.signer_ids()):
+        if set(record.slash.slashed) != {e.reporter_id for e in witness.entries}:
             membership_ok = False
 
     honest_ledger_ok = True
-    previous = (fraud480.initial_total, 0)
+    initial_total = fraud480.config.registry_size * fraud480.config.initial_stake_wei
+    previous = (initial_total, 0)
     for record in fraud480.records:
         current = (record.ledger_total, record.ledger_burned)
         if record.slash is None and current != previous:
@@ -229,7 +230,7 @@ def test_criterion_06_slashing_biconditional(fraud480):
         previous = current
 
     conservation_ok = (
-        fraud480.final_total + fraud480.final_burned == fraud480.initial_total
+        fraud480.final_total + fraud480.final_burned == initial_total
         and fraud480.final_burned == sum(r.slash.total_cut for r in slash_records)
     )
     _report(

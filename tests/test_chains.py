@@ -11,7 +11,6 @@ from vzor.chains import (
     OP_VERIFY,
     Chain,
     ChainConfig,
-    gas_cost,
     scroll,
     sepolia,
 )
@@ -35,12 +34,12 @@ def test_preset_gas_tables():
 
 def test_verify_gas_under_ceiling():
     for make in CHAIN_PRESETS.values():
-        assert gas_cost(make(), OP_VERIFY) <= GAS_CEILING
+        assert make().gas_table[OP_VERIFY] <= GAS_CEILING
 
 
 def test_gas_cost_unknown_operation():
     with pytest.raises(UnknownOperation):
-        gas_cost(sepolia(), "mint_token")
+        Chain(sepolia()).charge("mint_token")
 
 
 def test_config_validation():

@@ -208,7 +208,7 @@ def test_adjudicate_slashes_every_signer(make_packet, agg_params):
     before_total, before_burned = hub.snapshot()
     report = hub.adjudicate(accuse_all_signers(lying, "sepolia"), committee, agg_params)
     assert report.rejected_reason is None
-    assert sorted(report.slashed) == sorted(lying.witness.signer_ids())
+    assert sorted(report.slashed) == sorted(e.reporter_id for e in lying.witness.entries)
     assert report.per_reporter_cut == DEFAULT_SLASH_CUT
     assert report.total_cut == len(lying.witness.entries) * DEFAULT_SLASH_CUT
     after_total, after_burned = hub.snapshot()
@@ -272,7 +272,7 @@ def test_unproven_accusation_is_skipped(make_packet, agg_params):
 
 def test_unregistered_reporter_is_skipped(make_packet, agg_params):
     lying, committee = _fraud_case(make_packet)
-    absent = lying.witness.signer_ids()[0]
+    absent = lying.witness.entries[0].reporter_id
     hub = _hub_with_pool(rid for rid in range(50) if rid != absent)
     report = hub.adjudicate(accuse_all_signers(lying, "sepolia"), committee, agg_params)
     assert absent not in report.slashed

@@ -1,7 +1,10 @@
 import dataclasses
 
+import pytest
+
 from vzor.chains import OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
 from vzor.netsim import (
+    Simulator,
     check_liveness,
     latency_bound_ms,
     metrics,
@@ -48,7 +51,33 @@ def test_honest_run_lifecycle():
         assert record.slash is None
         assert record.t0_ms == record.epoch * 30_000
     assert trace.final_burned == 0
-    assert trace.final_total == trace.initial_total == 50 * 32 * 10**18
+    initial_total = trace.config.registry_size * trace.config.initial_stake_wei
+    assert trace.final_total == initial_total == 50 * 32 * 10**18
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(
+            adversary_behavior="wrong_median_packet",
+            fraud_period=3,
+            governance=(GovernanceItem("n", 21, 2), GovernanceItem("f_min", 11, 1)),
+        ),
+        dict(epoch_interval_s=1.0),  # a packet is built 2.83 s after its pulse
+    ],
+    ids=["fraud-governance", "overlapping-epochs"],
+)
+def test_epochs_hand_on_each_record_as_it_closes(overrides):
+    config = _scenario(**overrides)
+    simulator = Simulator(config)
+    streamed, queued = [], []
+    for record in simulator.epochs():
+        # this epoch's state and every earlier one are dropped; later ones are not
+        assert all(epoch > record.epoch for epoch in simulator._states)
+        queued.append(len(simulator._heap))
+        streamed.append(record)
+    assert tuple(streamed) == run(config).records
+    assert queued[0] > 0  # epoch 0 was handed on while the loop still ran
 
 
 def test_committee_changes_across_epochs():
@@ -83,7 +112,7 @@ def test_zero_network_delay_pins_latency():
 
 def test_single_chain_run():
     trace = run(_scenario(chains=("scroll",)))
-    assert trace.chain_ids == ("scroll",)
+    assert tuple(trace.config.chains) == ("scroll",)
     for record in trace.records:
         assert [r.chain_id for r in record.receipts] == ["scroll"]
     gas_ops = {(chain, op) for chain, op, _ in trace.gas_totals}
@@ -143,7 +172,9 @@ def test_fraud_epochs_are_rejected_and_slashed():
         assert slash.applied_ms % 2_000 == 0  # hub ticks with the fastest chain
         slashed_total += slash.total_cut
     assert trace.final_burned == slashed_total
-    assert trace.final_total + trace.final_burned == trace.initial_total
+    assert trace.final_total + trace.final_burned == (
+        trace.config.registry_size * trace.config.initial_stake_wei
+    )
     assert trace.records[-1].ledger_total == trace.final_total
     assert trace.records[-1].ledger_burned == trace.final_burned
 

@@ -130,7 +130,7 @@ def test_collect_witness_canonical_order(key_pool, draw_committee, agg_params):
     observations.reverse()  # arrival order must not matter
     witness = collect_witness(observations, committee, agg_params)
     assert witness.epoch == 1
-    assert witness.signer_ids() == tuple(sorted(committee.member_ids()))
+    assert tuple(e.reporter_id for e in witness.entries) == tuple(sorted(committee.member_ids()))
     assert witness.committee_digest == committee.digest()
 
 
@@ -167,7 +167,7 @@ def test_collect_witness_drops_bad_signature(key_pool, draw_committee, agg_param
     )
     witness = collect_witness(observations, committee, agg_params)
     assert len(witness.entries) == committee.size - 1
-    assert observations[3].reporter_id not in witness.signer_ids()
+    assert observations[3].reporter_id not in {e.reporter_id for e in witness.entries}
 
 
 def test_collect_witness_drops_out_of_range(key_pool, draw_committee):

@@ -50,9 +50,10 @@ def _check_run(config: ScenarioConfig) -> None:
     trace = netsim.run(config)
     check = verify_trace_text(render_trace(trace))
     assert check.exit_code == 0, check.problems
-    assert trace.final_total + trace.final_burned == trace.initial_total
+    initial_total = config.registry_size * config.initial_stake_wei
+    assert trace.final_total + trace.final_burned == initial_total
     for record in trace.records:
-        assert record.ledger_total + record.ledger_burned == trace.initial_total
+        assert record.ledger_total + record.ledger_burned == initial_total
     assert netsim.check_liveness(trace).ok
 
 

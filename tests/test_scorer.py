@@ -2,6 +2,7 @@
 both ends, it changes no output, falls back to in-process scoring when it
 cannot run, and no run leaves its process behind."""
 
+import dataclasses
 import os
 import threading
 import time
@@ -13,7 +14,7 @@ from vzor.scenario import ScenarioConfig
 from vzor.trace import render_trace, verify_trace_text
 from vzor.vrf import SIGNATURE_BYTES
 
-from test_trace import _edit_witness, _swap_signatures
+from test_trace import _edit_witness, _flip_signature_bit, _swap_signatures
 
 FRAUD = ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
 PROOFS = FRAUD.epochs * FRAUD.registry_size  # the work list: 300 sortition proofs
@@ -115,12 +116,22 @@ def _edit_e2e(text: str, epoch: int, value: str) -> str:
     return "\n".join(lines)
 
 
-def test_bad_block_is_caught_before_any_replay(forked, in_process_trace):
+def test_bad_block_stops_the_replay_at_its_epoch(forked, in_process_trace):
     check = verify_trace_text(_edit_e2e(in_process_trace, 1, "x"))
     assert check.exit_code == 4
     assert check.problems[0].startswith("epoch 1:")
-    assert forked == []
-    assert sig.counters().signs == 0
+    assert sig.counters().signs == 2 * 65  # epochs 0 and 1: 50 VRF proofs, 15 observations
+    _assert_no_child()
+
+
+def test_flipped_signature_stops_a_long_replay_at_its_epoch(forked):
+    text = render_trace(netsim.run(dataclasses.replace(FRAUD, epochs=48)))
+    sig.reset()
+    check = verify_trace_text(_edit_witness(text, 3, _flip_signature_bit))
+    assert check.exit_code == 4
+    assert check.problems[0].startswith("epoch 3:")
+    assert sig.counters().signs == 4 * 65  # the replay stopped after epoch 3
+    assert forked == [1, 1]  # the run's scorer, then the replay's
     _assert_no_child()
 
 

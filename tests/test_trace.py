@@ -9,12 +9,13 @@ from vzor import trace as trace_mod
 from vzor.errors import TraceCorruption
 from vzor.oracle import observation_message
 from vzor.packets import OraclePacket
-from vzor.scenario import GovernanceItem, ScenarioConfig
+from vzor.scenario import GovernanceItem, ScenarioConfig, canonical_text
 from vzor.trace import (
     TRACE_HEADER,
     ms_to_s_text,
     parse_trace,
     render_csv,
+    render_head,
     render_trace,
     verify_trace_file,
     verify_trace_text,
@@ -75,12 +76,11 @@ def test_ms_to_s_text(ms, text):
 def test_parse_round_trip(fraud_trace):
     text = render_trace(fraud_trace)
     parsed = parse_trace(text)
-    assert parsed.text == text
-    assert parsed.config_text == fraud_trace.config_text
-    assert parsed.chain_ids == fraud_trace.chain_ids
-    assert parsed.initial_total == fraud_trace.initial_total
+    assert parsed.head + "".join(block for _, block in parsed.epochs) + "[end]\n" == text
+    assert parsed.config_text == canonical_text(fraud_trace.config)
+    assert parsed.head == render_head(fraud_trace.config)
     assert [epoch for epoch, _ in parsed.epochs] == list(range(12))
-    assert len(parsed.governance_lines) == 1
+    assert parsed.head.count("\ngovernance effective=") == 1
 
 
 def test_csv_shape(fraud_trace):
@@ -122,6 +122,10 @@ def test_parse_rejects_structure_damage(honest_trace):
         parse_trace(text.replace("\n[end]\n", "\n", 1))
     with pytest.raises(TraceCorruption):
         parse_trace(text.replace("[/epoch]", "", 1))
+    with pytest.raises(TraceCorruption):
+        parse_trace(text + "[end]\n")
+    with pytest.raises(TraceCorruption):
+        parse_trace(text.rstrip("\n"))
 
 
 @pytest.mark.parametrize(
@@ -266,6 +270,9 @@ def test_divergence_names_its_epoch_and_field(honest_trace):
     final = next(r.final_ms for r in honest_trace.records[0].receipts if r.chain_id == "scroll")
     at = lines.index("[epoch 1]") + 1  # its pulse line, then its committee line
     start = next(k for k, line in enumerate(lines) if line.startswith("ledger start"))
+    packet = next(line for line in lines if line.startswith("packet "))[len("packet ") :]
+    hexa = next(k for k, digit in enumerate(packet) if digit in "abcdef")  # its first a-f digit
+    upper = packet[:hexa] + packet[hexa].upper() + packet[hexa + 1 :]
     cases = [
         (
             _swap_line(text, "receipt chain=scroll", f"final_ms={final}", f"final_ms={final + 1}"),
@@ -283,6 +290,12 @@ def test_divergence_names_its_epoch_and_field(honest_trace):
             _swap_line(text, "ledger start", "burned=0", "burned=00"),
             f"line {start + 1} diverges from deterministic replay: "
             f"recorded {lines[start] + '0'!r}, replay {lines[start]!r}",
+        ),
+        (
+            # decodes to the same packet: only its text differs from the replay's
+            text.replace(packet, upper, 1),
+            f"epoch 0: packet at offset {hexa}: recorded {upper[hexa : hexa + 16]}, "
+            f"deterministic replay {packet[hexa : hexa + 16]}",
         ),
     ]
     for edited, problem in cases:
