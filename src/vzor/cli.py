@@ -1,5 +1,10 @@
 """Command-line front end: run scenarios, verify traces, sweep parameters.
 
+``run`` and ``sweep`` write each epoch's trace block and CSV line as the
+simulator closes the epoch, and ``verify-trace`` reads the trace line by
+line, so neither holds a whole trace in memory.  Every file is written
+under a ``.tmp`` name and renamed once complete.
+
 Exit codes: 0 success; 2 config parse error, trace corruption, or outputs
 that cannot be written; 3 scenario validation error, unknown sweep
 parameter, or empty sweep; 4 trace outcome mismatch.
@@ -8,10 +13,11 @@ parameter, or empty sweep; 4 trace outcome mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import netsim, trace as trace_mod
 from .errors import ConfigError, InvalidScenario
@@ -38,11 +44,17 @@ SWEEP_COLUMNS = (
 )  # then gas_<chain> for each chain
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        yield handle
     os.replace(tmp, path)
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioConfig:
@@ -52,14 +64,28 @@ def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioC
     return config
 
 
-def _write_run_outputs(run_trace: netsim.RunTrace, out_dir: str) -> netsim.MetricsSummary:
+def _write_run_outputs(
+    sim: netsim.Simulator, out_dir: str
+) -> tuple[netsim.MetricsSummary, netsim.LivenessReport]:
+    """Run ``sim`` and write its four files, each epoch as it closes."""
+    config, tally = sim.config, netsim.Tally(sim.config)
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.txt"), canonical_text(run_trace.config))
-    _atomic_write(os.path.join(out_dir, "trace.txt"), trace_mod.render_trace(run_trace))
-    _atomic_write(os.path.join(out_dir, "epochs.csv"), trace_mod.render_csv(run_trace))
-    summary = netsim.metrics(run_trace)
+    _atomic_write(os.path.join(out_dir, "config.txt"), canonical_text(config))
+    with (
+        _atomic_open(os.path.join(out_dir, "trace.txt")) as trace_out,
+        _atomic_open(os.path.join(out_dir, "epochs.csv")) as csv_out,
+        contextlib.closing(sim.epochs()) as records,
+    ):
+        trace_out.write(trace_mod.render_head(config))
+        csv_out.write(trace_mod.csv_head(config.chains))
+        for record in records:
+            trace_out.write(trace_mod.render_block(record))
+            csv_out.write(trace_mod.csv_line(record, config.chains))
+            tally.add(record)
+        trace_out.write(trace_mod.TRACE_END)
+    summary = tally.metrics(sim.gas_totals())
     _atomic_write(os.path.join(out_dir, "metrics.txt"), summary.to_text())
-    return summary
+    return summary, tally.liveness()
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -74,13 +100,12 @@ def cmd_run(config_path: Optional[str], out_dir: str, seed: Optional[int]) -> in
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config.validate()
-        run_trace = netsim.run(config)
+        sim = netsim.Simulator(config)
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        summary = _write_run_outputs(run_trace, out_dir)
+        summary, _ = _write_run_outputs(sim, out_dir)
     except OSError as exc:
         return _cannot_write(exc)
     print(f"ran {summary.epochs} epochs, {summary.accepted_epochs} accepted, "
@@ -137,13 +162,12 @@ def cmd_sweep(
                     config, delta_net_min_s=min(config.delta_net_min_s, float(value))
                 )
             try:
-                config.validate()
-                run_trace = netsim.run(config)
+                sim = netsim.Simulator(config)
             except InvalidScenario as exc:
                 print(f"invalid scenario at {parameter}={value}: {exc}", file=sys.stderr)
                 return EXIT_INVALID
-            summary = _write_run_outputs(run_trace, os.path.join(out_dir, f"{parameter}_{value}"))
-            liveness = netsim.check_liveness(run_trace)
+            run_dir = os.path.join(out_dir, f"{parameter}_{value}")
+            summary, liveness = _write_run_outputs(sim, run_dir)
             gas_by_chain = {c: 0 for c in chains}
             for chain_id, _, total in summary.gas_totals:
                 gas_by_chain[chain_id] += total

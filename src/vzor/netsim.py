@@ -26,9 +26,11 @@ import random
 import signal
 import statistics
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
+from . import sig
 from .beacon import BeaconParams, Pulse, make_chain
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
 from .encoding import be_u64, tagged_digest
@@ -271,13 +273,19 @@ class Simulator:
     two ends of one list (see ``_Scorer``).  :meth:`epochs` drives the loop
     and hands on each epoch's record as soon as it is final, dropping the
     epoch's state; it reaps the scorer when it ends, is closed, or a
-    handler raises.  :meth:`run` collects it.  Governance updates only
-    charge gas and are recorded, so both are done here at construction.
+    handler raises.  ``vzor run`` and ``verify-trace`` consume it as it
+    goes, so their memory does not grow with the run; :meth:`run` collects
+    it.  Governance updates only charge gas and are recorded, so both are
+    done here at construction.  Construction also caps the verdict memo at
+    one epoch's signatures times the epochs that can be open at once: every
+    memo hit re-checks a signature of an epoch that is still open.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
+        open_epochs = min(config.epochs, latency_bound_ms(config) // config.epoch_interval_ms + 2)
+        sig.cap_memo((config.registry_size + config.committee_size) * open_epochs)
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
         self.hub = governed_hub(config)
         self.secrets: list[ReporterSecret] = [
@@ -363,21 +371,24 @@ class Simulator:
         finally:
             self._scorer.close()
 
-    def run(self) -> RunTrace:
-        records = tuple(self.epochs())
-        total, burned = self.hub.snapshot()
-        gas_totals = tuple(
+    def gas_totals(self) -> tuple[tuple[str, str, int], ...]:
+        """Gas charged so far, per chain and operation, in a fixed order."""
+        return tuple(
             (chain.chain_id, op, chain.gas_by_op[op])
             for chain in self.chains
             for op in sorted(chain.gas_by_op)
         )
+
+    def run(self) -> RunTrace:
+        records = tuple(self.epochs())
+        total, burned = self.hub.snapshot()
         return RunTrace(
             config=self.config,
             records=records,
             governance_records=self.governance_records,
             final_total=total,
             final_burned=burned,
-            gas_totals=gas_totals,
+            gas_totals=self.gas_totals(),
         )
 
     def _on_pulse(self, epoch: int) -> None:
@@ -528,23 +539,52 @@ class LivenessReport:
         return not self.violations
 
 
+class Tally:
+    """What the metrics and the liveness check keep of a run's records, which
+    they read once, in epoch order, as :meth:`Simulator.epochs` hands them on."""
+
+    def __init__(self, config: ScenarioConfig, records: Iterable[EpochRecord] = ()) -> None:
+        self.config, self.bound_ms = config, latency_bound_ms(config)
+        self.e2e: list[int] = []  # one per accepted epoch
+        self.slash_ms: list[int] = []
+        self.selected: Counter[int] = Counter()  # reporter id -> epochs on the committee
+        self.checked, self.late = 0, []  # honest epochs with e2e latency; those over the bound
+        for record in records:
+            self.add(record)
+
+    def add(self, record: EpochRecord) -> None:
+        if record.e2e_ms is not None:
+            self.e2e.append(record.e2e_ms)
+        if record.e2e_ms is not None and not record.fraud_injected:
+            self.checked += 1
+            if record.e2e_ms > self.bound_ms:
+                self.late.append((record.epoch, record.e2e_ms))
+        if record.slash is not None:
+            self.slash_ms.append(record.slash.latency_ms)
+        self.selected.update(record.committee_ids())
+
+    def liveness(self) -> LivenessReport:
+        """The per-epoch latency bound on every honest epoch with a packet."""
+        slack = self.config.delta_net_max_ms
+        return LivenessReport(self.bound_ms, slack, self.checked, tuple(self.late))
+
+    def metrics(self, gas_totals: tuple[tuple[str, str, int], ...]) -> MetricsSummary:
+        e2e, slashes = self.e2e, self.slash_ms
+        return MetricsSummary(
+            epochs=self.config.epochs,
+            accepted_epochs=len(e2e),
+            throughput_pps=len(e2e) / (self.config.epochs * self.config.epoch_interval_s),
+            mean_e2e_s=(statistics.fmean(e2e) / 1000.0) if e2e else None,
+            stdev_e2e_s=(statistics.pstdev(e2e) / 1000.0) if len(e2e) > 1 else None,
+            slash_count=len(slashes),
+            mean_slash_latency_s=statistics.fmean(slashes) / 1000.0 if slashes else None,
+            gas_totals=gas_totals,
+            selection_counts=tuple(sorted(self.selected.items())),
+        )
+
+
 def check_liveness(trace: RunTrace) -> LivenessReport:
-    """Assert the per-epoch latency bound on every honest epoch with a packet."""
-    bound = latency_bound_ms(trace.config)
-    checked = 0
-    violations = []
-    for record in trace.records:
-        if record.fraud_injected or record.e2e_ms is None:
-            continue
-        checked += 1
-        if record.e2e_ms > bound:
-            violations.append((record.epoch, record.e2e_ms))
-    return LivenessReport(
-        bound_ms=bound,
-        slack_ms=trace.config.delta_net_max_ms,
-        checked_epochs=checked,
-        violations=tuple(violations),
-    )
+    return Tally(trace.config, trace.records).liveness()
 
 
 @dataclass(frozen=True)
@@ -578,24 +618,4 @@ class MetricsSummary:
 
 
 def metrics(trace: RunTrace) -> MetricsSummary:
-    e2e = [r.e2e_ms for r in trace.records if r.e2e_ms is not None]
-    slash_latencies = [r.slash.latency_ms for r in trace.records if r.slash is not None]
-    accepted = sum(
-        1 for r in trace.records if r.receipts and all(x.accepted for x in r.receipts)
-    )
-    duration_s = trace.config.epochs * trace.config.epoch_interval_s
-    counts: dict[int, int] = {}
-    for record in trace.records:
-        for rid in record.committee_ids():
-            counts[rid] = counts.get(rid, 0) + 1
-    return MetricsSummary(
-        epochs=trace.config.epochs,
-        accepted_epochs=accepted,
-        throughput_pps=accepted / duration_s,
-        mean_e2e_s=(statistics.fmean(e2e) / 1000.0) if e2e else None,
-        stdev_e2e_s=(statistics.pstdev(e2e) / 1000.0) if len(e2e) > 1 else None,
-        slash_count=len(slash_latencies),
-        mean_slash_latency_s=statistics.fmean(slash_latencies) / 1000.0 if slash_latencies else None,
-        gas_totals=trace.gas_totals,
-        selection_counts=tuple(sorted(counts.items())),
-    )
+    return Tally(trace.config, trace.records).metrics(trace.gas_totals)

@@ -5,14 +5,15 @@ Every signature the simulator makes or checks goes through this module.
 chosen once per process at import: libsodium (``libsodium.so.23``, loaded
 by soname through ``ctypes``) if it loads and, on RFC 8032's TEST 2 seed
 and message, gives the public key and signature recorded here, which the
-tests check are what ``cryptography`` gives.  Asking ``cryptography`` at
-import would start OpenSSL's Ed25519 (about 1.3 MiB), which a run without
-a real verify never needs.  Otherwise ``cryptography`` (OpenSSL) signs, as
-on a machine without libsodium; it is also the tests' reference.  Signing
-is deterministic, so both give the same bytes and no output depends on the
-choice; libsodium takes about half the time per sign.  Verification always
-uses ``cryptography``: its verdicts on malformed keys and signatures are
-what ``verify-trace`` reports, and a run needs few real verifies.
+tests check are what ``cryptography`` gives.  Otherwise ``cryptography``
+(OpenSSL) signs, as on a machine without libsodium; it is also the tests'
+reference.  Signing is deterministic, so both give the same bytes and no
+output depends on the choice; libsodium takes about half the time per
+sign.  Verification always uses ``cryptography``: its verdicts on
+malformed keys and signatures are what ``verify-trace`` reports.
+``cryptography`` is imported only where it is used, by the first real
+verify or the first OpenSSL keypair: importing it costs about 5.7 MiB
+and 8 ms, and a clean run or audit with libsodium makes no real verify.
 
 Verdicts are remembered in a bounded FIFO memo keyed on the exact
 ``(public_key, message, signature)`` bytes.  An entry comes from one of
@@ -54,21 +55,17 @@ import os
 from collections import OrderedDict
 from typing import Callable
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 REAL_VERIFY_ENV = "VZOR_REAL_VERIFY"
 SEED_BYTES = 32
 SODIUM_SONAME = "libsodium.so.23"
 
-# Every memo hit in a default run re-checks a signature made earlier in
-# the same epoch, and an epoch adds registry_size + committee_size entries
-# (65 by default; a cap of 128 already gives the full hit count).  8192
-# leaves room for registries in the thousands and holds about 2.2 MiB.
-MEMO_CAP = 8192
+# Every memo hit re-checks a signature made earlier in one of the epochs
+# still open, and an epoch adds registry_size + committee_size entries.  A
+# simulator caps the memo at that many entries per open epoch (cap_memo);
+# the default, restored by reset(), leaves room for registries in the
+# thousands and holds about 2.2 MiB when full.
+DEFAULT_MEMO_CAP = 8192
+MEMO_CAP = DEFAULT_MEMO_CAP
 
 
 @dataclasses.dataclass
@@ -102,6 +99,8 @@ _Keypair = Callable[[bytes], tuple[Callable[[bytes], bytes], bytes]]
 
 
 def _openssl_keypair(seed: bytes) -> tuple[Callable[[bytes], bytes], bytes]:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
     key = Ed25519PrivateKey.from_private_bytes(seed)
     return key.sign, key.public_key().public_bytes_raw()
 
@@ -203,6 +202,9 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
             _counters.memo_hits += 1
             return verdict
     _counters.real_verifies += 1
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
     try:
         Ed25519PublicKey.from_public_bytes(key[0]).verify(key[2], key[1])
         verdict = True
@@ -221,9 +223,16 @@ def memo_size() -> int:
     return len(_memo)
 
 
+def cap_memo(entries: int) -> None:
+    """Keep at most ``entries`` verdicts from now until the next :func:`reset`."""
+    global MEMO_CAP
+    MEMO_CAP = entries
+
+
 def reset() -> None:
-    """Empty the memo, zero the counters and read ``VZOR_REAL_VERIFY`` again."""
-    global _memo_enabled
-    _memo_enabled = _memo_wanted()
+    """Empty the memo, restore its default cap, zero the counters and read
+    ``VZOR_REAL_VERIFY`` again."""
+    global _memo_enabled, MEMO_CAP
+    _memo_enabled, MEMO_CAP = _memo_wanted(), DEFAULT_MEMO_CAP
     _memo.clear()
     _counters.signs = _counters.real_verifies = _counters.memo_hits = 0

@@ -5,10 +5,13 @@ echo, governance records, then one block per epoch with the pulse
 digest, committee keys, full packet bytes, per-chain receipts, latency,
 and ledger totals.  It carries everything needed to re-check the run:
 packets re-verify from the committee keys alone, and the embedded
-config reproduces the entire simulation.  Verification replays the config
-once and compares each epoch's block with the replay's as the replay
-closes it, stopping at the first that differs; the protocol rules
-themselves live only in the modules the replay runs.
+config reproduces the entire simulation.  ``vzor run`` writes the head,
+then each block and CSV row as the simulator closes its epoch.
+Verification reads the trace line by line, twice: once to check its
+structure, then again to compare each epoch's block with the replay's as
+the replay closes it, stopping at the first that differs.  Neither holds
+more than one block, and the protocol rules themselves live only in the
+modules the replay runs.
 
 Verification distinguishes two failure classes.  File-level damage
 (missing header, broken section structure, unreadable config) is
@@ -19,13 +22,13 @@ with its epoch.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from . import netsim
-from .chains import Receipt
 from .errors import TraceCorruption
 from .packets import OraclePacket
 from .proofs import verify
@@ -33,6 +36,7 @@ from .scenario import ScenarioConfig, canonical_text, parse_config
 from .vrf import Committee, ReporterIdentity, VrfOutput
 
 TRACE_HEADER = "vzor-trace v1"
+TRACE_END = "[end]\n"
 
 _PLACEHOLDER_SCORE = VrfOutput(value=0, proof=b"", input_digest=b"")
 
@@ -104,7 +108,7 @@ def render_block(rec: netsim.EpochRecord) -> str:
 
 def render_trace(trace: netsim.RunTrace) -> str:
     blocks = "".join(render_block(rec) for rec in trace.records)
-    return render_head(trace.config) + blocks + "[end]\n"
+    return render_head(trace.config) + blocks + TRACE_END
 
 
 def csv_row(cells) -> str:
@@ -112,28 +116,34 @@ def csv_row(cells) -> str:
     return ",".join("" if cell is None else str(cell) for cell in cells)
 
 
-def render_csv(trace: netsim.RunTrace) -> str:
-    chains = trace.config.chains
-    header = (
+def csv_head(chains: tuple[str, ...]) -> str:
+    """The per-epoch CSV's header line."""
+    return csv_row(
         ["epoch", "committee_ids", "median"]
         + [f"accepted_{c}" for c in chains]
         + [f"gas_{c}" for c in chains]
         + ["e2e_latency_s", "fraud_injected", "slash_latency_s", "slashed_ids"]
-    )
-    rows = [csv_row(header)]
-    for rec in trace.records:
-        by_chain = {r.chain_id: r for r in rec.receipts}
-        receipts = [by_chain.get(c) for c in chains]
-        cells = [rec.epoch, ";".join(str(i) for i in rec.committee_ids()), rec.median]
-        cells += [None if r is None else int(r.accepted) for r in receipts]
-        cells += [None if r is None else r.gas_used for r in receipts]
-        cells += [None if rec.e2e_ms is None else ms_to_s_text(rec.e2e_ms), int(rec.fraud_injected)]
-        slash = rec.slash
-        cells += [None, None] if slash is None else [
-            ms_to_s_text(slash.latency_ms), ";".join(str(i) for i in slash.slashed)
-        ]
-        rows.append(csv_row(cells))
-    return "\n".join(rows) + "\n"
+    ) + "\n"
+
+
+def csv_line(rec: netsim.EpochRecord, chains: tuple[str, ...]) -> str:
+    """One epoch's CSV line."""
+    by_chain = {r.chain_id: r for r in rec.receipts}
+    receipts = [by_chain.get(c) for c in chains]
+    cells = [rec.epoch, ";".join(str(i) for i in rec.committee_ids()), rec.median]
+    cells += [None if r is None else int(r.accepted) for r in receipts]
+    cells += [None if r is None else r.gas_used for r in receipts]
+    cells += [None if rec.e2e_ms is None else ms_to_s_text(rec.e2e_ms), int(rec.fraud_injected)]
+    slash = rec.slash
+    cells += [None, None] if slash is None else [
+        ms_to_s_text(slash.latency_ms), ";".join(str(i) for i in slash.slashed)
+    ]
+    return csv_row(cells) + "\n"
+
+
+def render_csv(trace: netsim.RunTrace) -> str:
+    chains = trace.config.chains
+    return csv_head(chains) + "".join(csv_line(rec, chains) for rec in trace.records)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -143,61 +153,62 @@ def render_csv(trace: netsim.RunTrace) -> str:
 class ParsedTrace:
     config_text: str
     head: str  # the text before the first epoch block
-    epochs: tuple[tuple[int, str], ...]  # (epoch number, its block's text)
+    epochs: tuple[int, ...]  # each block's epoch number, in file order
 
 
-def parse_trace(text: str) -> ParsedTrace:
-    """Structural parse only; raises TraceCorruption on file-level damage."""
-    lines = text.split("\n")
-    if not lines or lines[0] != TRACE_HEADER:
+def parse_trace(lines: Iterable[str]) -> ParsedTrace:
+    """Structural parse of a trace's lines, each with its newline, as an open
+    file or ``io.StringIO`` gives them.  Keeps only the config, the head and
+    the epoch numbers; raises TraceCorruption on file-level damage."""
+    source, head = iter(lines), []  # head: the lines before the first block
+    while (line := next(source, "")) and not line.startswith(("[epoch ", "[end]")):
+        head.append(line.removesuffix("\n"))
+    if head[:1] != [TRACE_HEADER]:
         raise TraceCorruption("missing trace header")
-    i = 1
-    if i >= len(lines) or lines[i] != "[config]":
+    if head[1:2] != ["[config]"]:
         raise TraceCorruption("missing config section")
-    i += 1
-    while i < len(lines) and lines[i] != "[/config]":
-        i += 1
-    if i >= len(lines):
+    if "[/config]" not in head:
         raise TraceCorruption("unterminated config section")
-    config_text = "\n".join(lines[2:i]) + "\n"
-    i += 1
-    if i >= len(lines) or not lines[i].startswith("chains "):
+    i = head.index("[/config]")
+    chains, ledger = (head[i + 1 :] + ["", ""])[:2]
+    if not chains.startswith("chains "):
         raise TraceCorruption("missing chains line")
-    if not any(lines[i][len("chains ") :].split(",")):
+    if not any(chains[len("chains ") :].split(",")):
         raise TraceCorruption("empty chain list")
-    i += 1
-    if i >= len(lines) or not lines[i].startswith("ledger start total="):
+    if not ledger.startswith("ledger start total="):
         raise TraceCorruption("missing ledger start line")
     try:
-        int(_fields(lines[i], "ledger start ")["total"])
+        int(_fields(ledger, "ledger start ")["total"])
     except (ValueError, KeyError) as exc:
         raise TraceCorruption(f"bad ledger start line: {exc}") from exc
-    i += 1
-    while i < len(lines) and lines[i].startswith("governance "):
-        i += 1
-    head = "\n".join(lines[:i]) + "\n"
+    for stray in (x for x in head[i + 3 :] if not x.startswith("governance ")):
+        raise TraceCorruption(f"expected epoch header, got {stray!r}")
     epochs = []
-    while i < len(lines) and lines[i] != "[end]":
-        start = i
-        opener = lines[i]
-        if not (opener.startswith("[epoch ") and opener.endswith("]")):
-            raise TraceCorruption(f"expected epoch header, got {opener!r}")
+    while line.startswith("[epoch "):
+        if not line.endswith("]\n"):
+            raise TraceCorruption(f"expected epoch header, got {line!r}")
         try:
-            epoch = int(opener[len("[epoch ") : -1])
+            epochs.append(int(line[len("[epoch ") : -2]))
         except ValueError as exc:
-            raise TraceCorruption(f"bad epoch header {opener!r}") from exc
-        i += 1
-        while i < len(lines) and lines[i] != "[/epoch]":
-            if lines[i].startswith("[epoch ") or lines[i] == "[end]":
-                raise TraceCorruption(f"unterminated block for epoch {epoch}")
-            i += 1
-        if i >= len(lines):
-            raise TraceCorruption(f"unterminated block for epoch {epoch}")
-        i += 1
-        epochs.append((epoch, "\n".join(lines[start:i]) + "\n"))
-    if lines[i:] != ["[end]", ""]:
+            raise TraceCorruption(f"bad epoch header {line!r}") from exc
+        while (line := next(source, "[end]\n")) != "[/epoch]\n":  # no text left: unterminated
+            if line.startswith("[epoch ") or line == "[end]\n":
+                raise TraceCorruption(f"unterminated block for epoch {epochs[-1]}")
+        line = next(source, "")
+    if line != "[end]\n" or next(source, None) is not None:
         raise TraceCorruption("missing end marker, or text after it")
-    return ParsedTrace(config_text=config_text, head=head, epochs=tuple(epochs))
+    return ParsedTrace("\n".join(head[2:i]) + "\n", "\n".join(head) + "\n", tuple(epochs))
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The text of each epoch block in a trace's lines after its head, once
+    :func:`parse_trace` has checked them."""
+    block: list[str] = []
+    for line in lines:
+        block.append(line)
+        if line == "[/epoch]\n":
+            yield "".join(block)
+            block = []
 
 
 # -- verification ---------------------------------------------------------------
@@ -226,93 +237,34 @@ def _fields(line: str, prefix: str) -> dict[str, str]:
     return out
 
 
-_BLOCK_KINDS = (
-    "pulse", "committee", "packet", "median", "receipt", "e2e_ms", "fraud", "slash", "ledger"
-)
-
-
-@dataclass(frozen=True)
-class _Block:
-    """One epoch block, decoded; whether it is right is the replay's call."""
-
-    committee: Optional[Committee]  # None: no committee could be drawn
-    packet: Optional[OraclePacket]
-    median: Optional[int]
-    receipts: tuple[Receipt, ...]
-    e2e_ms: Optional[int]
-    slash: Optional[netsim.SlashInfo]
-    ledger: tuple[int, int]
-
-
-def _int_or_none(text: str) -> Optional[int]:
-    return None if text == "none" else int(text)
-
-
-def _decode_block(epoch: int, block: list[str]) -> _Block:
-    """Decode one epoch block; ValueError says why it cannot be decoded."""
-    lines: dict[str, list[str]] = {kind: [] for kind in _BLOCK_KINDS}
-    for line in block:
-        kind = line.split(" ", 1)[0]
-        if kind not in lines:
-            raise ValueError(f"unexpected line {line!r}")
-        lines[kind].append(line)
-    for kind in _BLOCK_KINDS:
-        if kind != "receipt" and len(lines[kind]) != 1:
-            raise ValueError(f"expected exactly one {kind} line")
-
-    def body(kind: str) -> str:
-        return lines[kind][0][len(kind) + 1 :]
-
-    try:
-        committee = None
-        if body("committee") != "none":
-            members = []
-            for item in body("committee").split(","):
-                rid_text, pk_hex = item.split(":", 1)
-                members.append(
-                    (ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)), _PLACEHOLDER_SCORE)
-                )
-            committee = Committee(epoch=epoch, members=tuple(members))
-        packet = None
-        if body("packet") != "none":
-            packet = OraclePacket.from_bytes(bytes.fromhex(body("packet")))
-        receipts = []
-        for line in lines["receipt"]:
-            fields = _fields(line, "receipt ")
-            receipts.append(
-                Receipt(
-                    chain_id=fields["chain"],
-                    accepted=fields["accepted"] == "1",
-                    reason=fields["reason"],
-                    gas_used=int(fields["gas"]),
-                    block=int(fields["block"]),
-                    final_ms=int(fields["final_ms"]),
-                )
+def _verdict_problems(config: ScenarioConfig, epoch: int, block: list[str]) -> list[str]:
+    """The recorded receipts whose verdict is not the one the recorded packet
+    gets under the recorded committee.  Only those lines are decoded; one
+    that cannot be raises ValueError or KeyError."""
+    body = dict(line.partition(" ")[::2] for line in block)  # kind -> its (last) line's body
+    if "none" in (body.get("committee", "none"), body.get("packet", "none")):
+        return []
+    members = []
+    for item in body["committee"].split(","):
+        rid_text, pk_hex = item.split(":", 1)
+        members.append((ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)), _PLACEHOLDER_SCORE))
+    packet = OraclePacket.from_bytes(bytes.fromhex(body["packet"]))
+    governed = netsim.governed_hub(config).effective_params(epoch)
+    result = verify(packet, Committee(epoch, tuple(members)), config.aggregation_params(governed))
+    problems = []
+    for receipt in (_fields(x, "receipt ") for x in block if x.startswith("receipt ")):
+        chain, accepted = receipt["chain"], receipt["accepted"] == "1"
+        if accepted != result.accepted:
+            problems.append(
+                f"epoch {epoch}: chain {chain} recorded "
+                f"accepted={int(accepted)} but replay says {result.reason()}"
             )
-        slash = None
-        if body("slash") != "none":
-            fields = _fields(lines["slash"][0], "slash ")
-            slash = netsim.SlashInfo(
-                origin_chain=fields["origin"],
-                emitted_ms=int(fields["emitted_ms"]),
-                applied_ms=int(fields["applied_ms"]),
-                latency_ms=int(fields["latency_ms"]),
-                slashed=tuple(int(x) for x in fields["ids"].split(";") if x),
-                per_reporter_cut=int(fields["cut"]),
-                total_cut=int(fields["total"]),
+        if receipt["reason"] != result.reason():
+            problems.append(
+                f"epoch {epoch}: chain {chain} recorded reason "
+                f"{receipt['reason']!r} but replay says {result.reason()!r}"
             )
-        ledger = _fields(lines["ledger"][0], "ledger ")
-        return _Block(
-            committee=committee,
-            packet=packet,
-            median=_int_or_none(body("median")),
-            receipts=tuple(receipts),
-            e2e_ms=_int_or_none(body("e2e_ms")),
-            slash=slash,
-            ledger=(int(ledger["total"]), int(ledger["burned"])),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"unreadable record: {exc}") from exc
+    return problems
 
 
 def _first_difference(recorded: str, replayed: str) -> tuple[int, Optional[str], Optional[str]]:
@@ -324,53 +276,45 @@ def _first_difference(recorded: str, replayed: str) -> tuple[int, Optional[str],
 def _block_problems(
     config: ScenarioConfig, epoch: int, recorded: str, replayed: str
 ) -> tuple[str, ...]:
-    """Why epoch ``epoch``'s recorded block is not the replay's: it cannot
-    be decoded, or its packet's verdict is not its receipts', or else its
-    first diverging line, by kind and field."""
+    """Why epoch ``epoch``'s recorded block is not the replay's: its packet's
+    verdict is not its receipts', or the lines that say so cannot be read,
+    or else its first diverging line, by kind and field."""
     try:
-        block = _decode_block(epoch, recorded.split("\n")[1:-2])
-    except ValueError as exc:
-        return (f"epoch {epoch}: {exc}",)
-    problems = []
-    if block.packet is not None and block.committee is not None:
-        governed = netsim.governed_hub(config).effective_params(epoch)
-        result = verify(block.packet, block.committee, config.aggregation_params(governed))
-        for receipt in block.receipts:
-            if receipt.accepted != result.accepted:
-                problems.append(
-                    f"epoch {epoch}: chain {receipt.chain_id} recorded "
-                    f"accepted={int(receipt.accepted)} but replay says {result.reason()}"
-                )
-            if receipt.reason != result.reason():
-                problems.append(
-                    f"epoch {epoch}: chain {receipt.chain_id} recorded reason "
-                    f"{receipt.reason!r} but replay says {result.reason()!r}"
-                )
+        problems = _verdict_problems(config, epoch, recorded.split("\n")[1:-2])
+    except (ValueError, KeyError) as exc:
+        return (f"epoch {epoch}: unreadable record: {exc}",)
     if problems:
         return tuple(problems)
     _, a, b = _first_difference(recorded, replayed)
     kind, *a_words = a.split(" ")
     b_kind, *b_words = b.split(" ")
-    if kind != b_kind or len(a_words) != len(b_words):
+    if kind == b_kind and len(a_words) == len(b_words):  # name the first differing word
+        x, y = next(pair for pair in zip(a_words, b_words) if pair[0] != pair[1])
+        key, eq, x_value = x.partition("=")
+        if eq and y.startswith(key + "="):
+            kind, x, y = f"{kind} {key}", x_value, y[len(key) + 1 :]
+    elif max(len(a), len(b)) <= 64:  # short lines that differ whole
         return (f"epoch {epoch}: recorded {a!r}, deterministic replay {b!r}",)
-    x, y = next(pair for pair in zip(a_words, b_words) if pair[0] != pair[1])
-    key, eq, x_value = x.partition("=")
-    if eq and y.startswith(key + "="):
-        kind, x, y = f"{kind} {key}", x_value, y[len(key) + 1 :]
-    if max(len(x), len(y)) > 64:  # a hex word: quote from its first differing character
+    else:
+        kind, x, y = f"{b_kind} line", a, b
+    if max(len(x), len(y)) > 64:  # a hex word or a long line: quote from where they differ
         at = len(os.path.commonprefix((x, y)))
         kind, x, y = f"{kind} at offset {at}", x[at : at + 16], y[at : at + 16]
     return (f"epoch {epoch}: {kind}: recorded {x}, deterministic replay {y}",)
 
 
-def verify_trace_text(text: str) -> TraceCheck:
-    """Check a trace against one replay of its embedded config, epoch by epoch.
+def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
+    """Check a trace, a string or a text file open for reading, against one
+    replay of its embedded config, epoch by epoch.
 
-    The head (config echo, chains, starting ledger, governance) must be
-    what :func:`render_head` makes of the config; a difference is reported
-    by line number and nothing is replayed.  Then the replay's
-    :meth:`netsim.Simulator.epochs` hands on each epoch as it closes, and
-    the recorded block must render to the same bytes.  The replay's chains
+    A string is read as ``io.StringIO``, so both take one path, in two
+    passes over the lines.  The first is :func:`parse_trace`: damage is
+    corruption, found before anything is replayed.  The head (config echo,
+    chains, starting ledger, governance) must be what :func:`render_head`
+    makes of the config; a difference is reported by line number and
+    nothing is replayed.  The second pass starts over and reads one block
+    at a time as the replay's :meth:`netsim.Simulator.epochs` hands on each
+    epoch; the recorded block must render to the same bytes.  The replay's chains
     verified exactly those packets against exactly those committees, and
     its gas, latency, slashing and ledger rules are the ones the run used,
     so no rule is checked a second time here.
@@ -380,14 +324,15 @@ def verify_trace_text(text: str) -> TraceCheck:
     recorded committee when the verdict is not its receipts', or else by
     its first diverging line, with its kind and field.
     """
+    source = io.StringIO(text) if isinstance(text, str) else text
     try:
-        parsed = parse_trace(text)
+        parsed = parse_trace(source)
         config = parse_config(parsed.config_text)
         config.validate()
     except Exception as exc:
         return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
 
-    seen = [epoch for epoch, _ in parsed.epochs]
+    seen = list(parsed.epochs)
     if seen != list(range(config.epochs)):
         problem = (
             f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
@@ -400,9 +345,11 @@ def verify_trace_text(text: str) -> TraceCheck:
         problem = f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
         return TraceCheck(exit_code=4, problems=(problem,))
 
+    source.seek(0)
+    blocks = _blocks(itertools.islice(source, head.count("\n"), None))
     replay = netsim.Simulator(config).epochs()
     try:
-        for (epoch, recorded), record in zip(parsed.epochs, replay):
+        for epoch, recorded, record in zip(seen, blocks, replay):
             replayed = render_block(record)
             if recorded != replayed:
                 return TraceCheck(
@@ -416,7 +363,6 @@ def verify_trace_text(text: str) -> TraceCheck:
 def verify_trace_file(path: str) -> TraceCheck:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            return verify_trace_text(handle)
+    except (OSError, UnicodeDecodeError) as exc:  # unopenable, or changed after pass 1
         return TraceCheck(exit_code=2, problems=(f"cannot read trace: {exc}",))
-    return verify_trace_text(text)

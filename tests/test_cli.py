@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tracemalloc
+
 import pytest
 
-from vzor.cli import main
+from vzor import sig
+from vzor.cli import cmd_run, cmd_verify_trace, main
 from vzor.scenario import ScenarioConfig, canonical_text, parse_config
 
 SMALL = "seed = 7\nepochs = 10\n"
@@ -269,3 +274,35 @@ def test_active_set_depletion_runs_and_verifies(tmp_path, capsys):
         "epochs", "accepted_epochs", "throughput_pps", "mean_e2e_s", "stdev_e2e_s",
         "slash_count", "mean_slash_latency_s",
     }
+
+
+def _peaks(tmp_path, epochs):
+    """Peak traced memory of vzor run and of verify-trace, each from an
+    empty memo as in a fresh process."""
+    scenario = canonical_text(ScenarioConfig(seed=5, epochs=epochs))
+    config = _write(tmp_path, f"{epochs}.txt", scenario)
+    out = str(tmp_path / f"out{epochs}")
+    peaks = []
+    for call in (lambda: cmd_run(config, out, None), lambda: cmd_verify_trace(out + "/trace.txt")):
+        sig.reset()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert call() == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch):
+    # run and verify-trace hold one epoch's block at a time and a memo
+    # capped to the epochs still open; a 96-epoch trace is about 400 kB,
+    # and what still grows with the run is under 1 kB an epoch
+    monkeypatch.delenv(sig.REAL_VERIFY_ENV, raising=False)
+    try:
+        short, long = _peaks(tmp_path, 24), _peaks(tmp_path, 96)
+    finally:
+        sig.reset()
+    for few, many in zip(short, long):
+        assert many < few + 128 * 1024, (few, many)

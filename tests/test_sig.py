@@ -2,6 +2,8 @@
 
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -16,6 +18,7 @@ from vzor.scenario import ScenarioConfig
 from vzor.vrf import vrf_keygen
 
 from test_scorer import split
+from test_trace import _edit_witness, _flip_signature_bit
 
 BACKENDS = ("chosen", "cryptography")
 FRAUD = "seed = 3\nepochs = 6\nadversary_behavior = wrong_median_packet\nfraud_period = 2\n"
@@ -223,3 +226,59 @@ def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):
         run(ScenarioConfig(seed=3, epochs=2))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# a fresh interpreter runs each ``|``-separated vzor command line in turn,
+# then prints their exit codes and whether cryptography was imported
+FRESH = (
+    "import sys\n"
+    "from vzor.cli import main\n"
+    "codes = [main(args.split('|')) for args in sys.argv[1:]]\n"
+    "print(codes, 'cryptography' in sys.modules)\n"
+)
+
+
+def _fresh(*commands):
+    src = os.path.dirname(os.path.dirname(sig.__file__))
+    env = {k: v for k, v in os.environ.items() if k != sig.REAL_VERIFY_ENV}
+    env["PYTHONPATH"] = src
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH, *("|".join(c) for c in commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return done.stdout.splitlines()[-1]
+
+
+def test_clean_run_and_audit_never_import_cryptography(tmp_path):
+    if sig._keypair is sig._openssl_keypair:
+        pytest.skip("libsodium did not load: cryptography signs here")
+    config, out = tmp_path / "scenario.txt", tmp_path / "out"
+    config.write_text(FRAUD)
+    trace = out / "trace.txt"
+    run = ["run", "--config", str(config), "--out", str(out)]
+    assert _fresh(run, ["verify-trace", str(trace)]) == "[0, 0] False"
+    # a flipped signature needs a real verify, which imports cryptography
+    trace.write_text(_edit_witness(trace.read_text(), 3, _flip_signature_bit))
+    assert _fresh(["verify-trace", str(trace)]) == "[4] True"
+
+
+@pytest.mark.parametrize(("interval", "open_epochs"), [(1.0, 21), (0.001, 60)])
+def test_memo_cap_loses_no_hit(interval, open_epochs, monkeypatch):
+    # a run caps the memo at one epoch's 65 signatures per epoch that can be
+    # open at once: 19.83 s of latency bound over the interval, plus 2, at
+    # most every epoch; an unbounded memo hits exactly as often
+    config = ScenarioConfig(
+        seed=3, epochs=60, epoch_interval_s=interval,
+        adversary_behavior="wrong_median_packet", fraud_period=2,
+    )
+    counts = []
+    for cap in (sig.cap_memo, lambda entries: None):
+        monkeypatch.setattr(sig, "cap_memo", cap)
+        sig.reset()
+        run(config)
+        counts.append((sig.counters(), sig.MEMO_CAP, sig.memo_size()))
+    (capped, cap, size), (unbounded, default, full) = counts
+    assert cap == 65 * open_epochs and size <= cap
+    assert default == sig.DEFAULT_MEMO_CAP and full == 60 * 65
+    assert capped == unbounded
+    assert capped.memo_hits > 0 and capped.real_verifies == 0

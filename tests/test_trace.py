@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import itertools
 import random
 import re
 
@@ -75,11 +77,14 @@ def test_ms_to_s_text(ms, text):
 
 def test_parse_round_trip(fraud_trace):
     text = render_trace(fraud_trace)
-    parsed = parse_trace(text)
-    assert parsed.head + "".join(block for _, block in parsed.epochs) + "[end]\n" == text
+    lines = io.StringIO(text)
+    parsed = parse_trace(lines)
+    lines.seek(0)  # the second pass, as verify-trace makes it
+    blocks = trace_mod._blocks(itertools.islice(lines, parsed.head.count("\n"), None))
+    assert parsed.head + "".join(blocks) + "[end]\n" == text
     assert parsed.config_text == canonical_text(fraud_trace.config)
     assert parsed.head == render_head(fraud_trace.config)
-    assert [epoch for epoch, _ in parsed.epochs] == list(range(12))
+    assert list(parsed.epochs) == list(range(12))
     assert parsed.head.count("\ngovernance effective=") == 1
 
 
@@ -102,9 +107,41 @@ def test_csv_shape(fraud_trace):
 
 
 def test_written_files_round_trip(tmp_path, honest_trace):
-    cli._write_run_outputs(honest_trace, str(tmp_path))
+    cli._write_run_outputs(netsim.Simulator(BASE), str(tmp_path))
     assert (tmp_path / "trace.txt").read_text() == render_trace(honest_trace)
     assert (tmp_path / "epochs.csv").read_text() == render_csv(honest_trace)
+
+
+def _assert_streamed(out, run_trace):
+    """The files vzor wrote as each epoch closed are the rendered whole run's."""
+    assert (out / "config.txt").read_text() == canonical_text(run_trace.config)
+    assert (out / "trace.txt").read_text() == render_trace(run_trace)
+    assert (out / "epochs.csv").read_text() == render_csv(run_trace)
+    assert (out / "metrics.txt").read_text() == netsim.metrics(run_trace).to_text()
+    assert not list(out.glob("*.tmp"))
+
+
+def test_streamed_outputs_equal_the_rendered_run(tmp_path, fraud_trace, capsys):
+    # fraud every fifth epoch, slashing, and a governance update
+    config = tmp_path / "scenario.txt"
+    config.write_text(canonical_text(fraud_trace.config))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    _assert_streamed(tmp_path / "run", fraud_trace)
+    sweep = ["sweep", "--config", str(config), "--param", "n", "--values", "11,15"]
+    assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    for n, row in zip((11, 15), rows):
+        run_trace = netsim.run(dataclasses.replace(fraud_trace.config, committee_size=n))
+        _assert_streamed(tmp_path / "sweep" / f"n_{n}", run_trace)
+        summary = netsim.metrics(run_trace)
+        liveness = netsim.check_liveness(run_trace)
+        assert row.split(",")[2:10] == [
+            str(cell) for cell in (
+                summary.epochs, summary.accepted_epochs, summary.throughput_pps,
+                summary.mean_e2e_s, summary.stdev_e2e_s, summary.slash_count,
+                summary.mean_slash_latency_s, len(liveness.violations),
+            )
+        ]
 
 
 # -- structural corruption (exit 2) ---------------------------------------------------
@@ -113,19 +150,19 @@ def test_written_files_round_trip(tmp_path, honest_trace):
 def test_parse_rejects_structure_damage(honest_trace):
     text = render_trace(honest_trace)
     with pytest.raises(TraceCorruption):
-        parse_trace("")
+        parse_trace(io.StringIO(""))
     with pytest.raises(TraceCorruption):
-        parse_trace(text.replace(TRACE_HEADER, "vzor-trace v2", 1))
+        parse_trace(io.StringIO(text.replace(TRACE_HEADER, "vzor-trace v2", 1)))
     with pytest.raises(TraceCorruption):
-        parse_trace(text.replace("[/config]", "", 1))
+        parse_trace(io.StringIO(text.replace("[/config]", "", 1)))
     with pytest.raises(TraceCorruption):
-        parse_trace(text.replace("\n[end]\n", "\n", 1))
+        parse_trace(io.StringIO(text.replace("\n[end]\n", "\n", 1)))
     with pytest.raises(TraceCorruption):
-        parse_trace(text.replace("[/epoch]", "", 1))
+        parse_trace(io.StringIO(text.replace("[/epoch]", "", 1)))
     with pytest.raises(TraceCorruption):
-        parse_trace(text + "[end]\n")
+        parse_trace(io.StringIO(text + "[end]\n"))
     with pytest.raises(TraceCorruption):
-        parse_trace(text.rstrip("\n"))
+        parse_trace(io.StringIO(text.rstrip("\n")))
 
 
 @pytest.mark.parametrize(
@@ -284,7 +321,8 @@ def test_divergence_names_its_epoch_and_field(honest_trace):
         ),
         (
             "\n".join(lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :]),
-            f"epoch 1: recorded {lines[at + 1]!r}, deterministic replay {lines[at]!r}",
+            f"epoch 1: pulse line at offset 0: recorded {lines[at + 1][:16]}, "
+            f"deterministic replay {lines[at][:16]}",
         ),
         (
             _swap_line(text, "ledger start", "burned=0", "burned=00"),
