@@ -46,10 +46,17 @@ SWEEP_COLUMNS = (
 
 @contextlib.contextmanager
 def _atomic_open(path: str) -> Iterator[TextIO]:
+    """A file written as ``path.tmp`` and renamed to ``path`` once complete;
+    the ``.tmp`` file is removed if writing fails or is interrupted."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        yield handle
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -67,23 +74,24 @@ def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioC
 def _write_run_outputs(
     sim: netsim.Simulator, out_dir: str
 ) -> tuple[netsim.MetricsSummary, netsim.LivenessReport]:
-    """Run ``sim`` and write its four files, each epoch as it closes."""
-    config, tally = sim.config, netsim.Tally(sim.config)
+    """Run ``sim``, writing its trace and CSV as each epoch closes, then its
+    config and metrics.  A run that fails or is interrupted writes none."""
+    config = sim.config
+    tally = netsim.Tally(config)
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.txt"), canonical_text(config))
     with (
         _atomic_open(os.path.join(out_dir, "trace.txt")) as trace_out,
         _atomic_open(os.path.join(out_dir, "epochs.csv")) as csv_out,
-        contextlib.closing(sim.epochs()) as records,
     ):
-        trace_out.write(trace_mod.render_head(config))
         csv_out.write(trace_mod.csv_head(config.chains))
-        for record in records:
-            trace_out.write(trace_mod.render_block(record))
+
+        def write_csv_line(record: netsim.EpochRecord) -> None:
             csv_out.write(trace_mod.csv_line(record, config.chains))
             tally.add(record)
-        trace_out.write(trace_mod.TRACE_END)
-    summary = tally.metrics(sim.gas_totals())
+
+        run_trace = trace_mod.render_trace(sim, trace_out, write_csv_line)
+    summary = tally.metrics(run_trace.gas_totals)
+    _atomic_write(os.path.join(out_dir, "config.txt"), canonical_text(config))
     _atomic_write(os.path.join(out_dir, "metrics.txt"), summary.to_text())
     return summary, tally.liveness()
 

@@ -19,6 +19,7 @@ one extra delta_net_max for the observation leg.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import mmap
 import os
@@ -273,9 +274,10 @@ class Simulator:
     two ends of one list (see ``_Scorer``).  :meth:`epochs` drives the loop
     and hands on each epoch's record as soon as it is final, dropping the
     epoch's state; it reaps the scorer when it ends, is closed, or a
-    handler raises.  ``vzor run`` and ``verify-trace`` consume it as it
-    goes, so their memory does not grow with the run; :meth:`run` collects
-    it.  Governance updates only charge gas and are recorded, so both are
+    handler raises.  :meth:`run` drives it to the end and hands each record
+    to a sink, which is how ``vzor run`` writes its files, or collects them;
+    ``verify-trace`` consumes it directly.  Neither command's memory grows
+    with the run.  Governance updates only charge gas and are recorded, so both are
     done here at construction.  Construction also caps the verdict memo at
     one epoch's signatures times the epochs that can be open at once: every
     memo hit re-checks a signature of an epoch that is still open.
@@ -371,24 +373,25 @@ class Simulator:
         finally:
             self._scorer.close()
 
-    def gas_totals(self) -> tuple[tuple[str, str, int], ...]:
-        """Gas charged so far, per chain and operation, in a fixed order."""
-        return tuple(
-            (chain.chain_id, op, chain.gas_by_op[op])
-            for chain in self.chains
-            for op in sorted(chain.gas_by_op)
-        )
-
-    def run(self) -> RunTrace:
-        records = tuple(self.epochs())
+    def run(self, sink: Optional[Callable[[EpochRecord], object]] = None) -> RunTrace:
+        """Drive the loop to its end.  Each epoch's record goes to ``sink`` as
+        the epoch closes; without one, the returned trace keeps them all."""
+        records: list[EpochRecord] = []
+        with contextlib.closing(self.epochs()) as closed:
+            for record in closed:
+                (records.append if sink is None else sink)(record)
         total, burned = self.hub.snapshot()
         return RunTrace(
             config=self.config,
-            records=records,
+            records=tuple(records),
             governance_records=self.governance_records,
             final_total=total,
             final_burned=burned,
-            gas_totals=self.gas_totals(),
+            gas_totals=tuple(
+                (chain.chain_id, op, chain.gas_by_op[op])
+                for chain in self.chains
+                for op in sorted(chain.gas_by_op)
+            ),
         )
 
     def _on_pulse(self, epoch: int) -> None:
@@ -544,11 +547,13 @@ class Tally:
     they read once, in epoch order, as :meth:`Simulator.epochs` hands them on."""
 
     def __init__(self, config: ScenarioConfig, records: Iterable[EpochRecord] = ()) -> None:
-        self.config, self.bound_ms = config, latency_bound_ms(config)
+        self.config = config
+        self.bound_ms = latency_bound_ms(config)
         self.e2e: list[int] = []  # one per accepted epoch
         self.slash_ms: list[int] = []
         self.selected: Counter[int] = Counter()  # reporter id -> epochs on the committee
-        self.checked, self.late = 0, []  # honest epochs with e2e latency; those over the bound
+        self.checked = 0  # honest epochs with an e2e latency
+        self.late: list[tuple[int, int]] = []  # those over the bound: (epoch, e2e_ms)
         for record in records:
             self.add(record)
 

@@ -233,6 +233,7 @@ def reset() -> None:
     """Empty the memo, restore its default cap, zero the counters and read
     ``VZOR_REAL_VERIFY`` again."""
     global _memo_enabled, MEMO_CAP
-    _memo_enabled, MEMO_CAP = _memo_wanted(), DEFAULT_MEMO_CAP
+    _memo_enabled = _memo_wanted()
+    MEMO_CAP = DEFAULT_MEMO_CAP
     _memo.clear()
     _counters.signs = _counters.real_verifies = _counters.memo_hits = 0

@@ -6,7 +6,8 @@ digest, committee keys, full packet bytes, per-chain receipts, latency,
 and ledger totals.  It carries everything needed to re-check the run:
 packets re-verify from the committee keys alone, and the embedded
 config reproduces the entire simulation.  ``vzor run`` writes the head,
-then each block and CSV row as the simulator closes its epoch.
+then each block and CSV row as the simulator closes its epoch, through
+:func:`render_trace`, the same function that renders a finished run.
 Verification reads the trace line by line, twice: once to check its
 structure, then again to compare each epoch's block with the replay's as
 the replay closes it, stopping at the first that differs.  Neither holds
@@ -26,7 +27,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from . import netsim
 from .errors import TraceCorruption
@@ -106,9 +107,31 @@ def render_block(rec: netsim.EpochRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace(trace: netsim.RunTrace) -> str:
-    blocks = "".join(render_block(rec) for rec in trace.records)
-    return render_head(trace.config) + blocks + TRACE_END
+def render_trace(
+    run: Union[netsim.RunTrace, netsim.Simulator],
+    out: Optional[TextIO] = None,
+    sink: Callable[[netsim.EpochRecord], object] = lambda record: None,
+) -> Union[str, netsim.RunTrace]:
+    """A run's trace: its head, one block per epoch, then the end marker.
+
+    A finished :class:`netsim.RunTrace` gives its text.  A
+    :class:`netsim.Simulator` is run, and its trace written to ``out`` as it
+    goes: each epoch's block as the epoch closes, after which the record goes
+    on to ``sink``.  Its :class:`netsim.RunTrace`, which keeps no records, is
+    returned.  ``vzor run`` streams this way so that ``bench/tracer.py``,
+    which times ``render_trace`` and ``Simulator.run`` by name, sees it.
+    """
+    if isinstance(run, netsim.RunTrace):
+        return render_head(run.config) + "".join(map(render_block, run.records)) + TRACE_END
+    out.write(render_head(run.config))
+
+    def write(record: netsim.EpochRecord) -> None:
+        out.write(render_block(record))
+        sink(record)
+
+    run_trace = run.run(write)
+    out.write(TRACE_END)
+    return run_trace
 
 
 def csv_row(cells) -> str:
@@ -160,7 +183,8 @@ def parse_trace(lines: Iterable[str]) -> ParsedTrace:
     """Structural parse of a trace's lines, each with its newline, as an open
     file or ``io.StringIO`` gives them.  Keeps only the config, the head and
     the epoch numbers; raises TraceCorruption on file-level damage."""
-    source, head = iter(lines), []  # head: the lines before the first block
+    source = iter(lines)
+    head = []  # the lines before the first block
     while (line := next(source, "")) and not line.startswith(("[epoch ", "[end]")):
         head.append(line.removesuffix("\n"))
     if head[:1] != [TRACE_HEADER]:
@@ -170,19 +194,19 @@ def parse_trace(lines: Iterable[str]) -> ParsedTrace:
     if "[/config]" not in head:
         raise TraceCorruption("unterminated config section")
     i = head.index("[/config]")
-    chains, ledger = (head[i + 1 :] + ["", ""])[:2]
-    if not chains.startswith("chains "):
+    if len(head) < i + 2 or not head[i + 1].startswith("chains "):
         raise TraceCorruption("missing chains line")
-    if not any(chains[len("chains ") :].split(",")):
+    if not any(head[i + 1][len("chains ") :].split(",")):
         raise TraceCorruption("empty chain list")
-    if not ledger.startswith("ledger start total="):
+    if len(head) < i + 3 or not head[i + 2].startswith("ledger start total="):
         raise TraceCorruption("missing ledger start line")
     try:
-        int(_fields(ledger, "ledger start ")["total"])
+        int(_fields(head[i + 2], "ledger start ")["total"])
     except (ValueError, KeyError) as exc:
         raise TraceCorruption(f"bad ledger start line: {exc}") from exc
-    for stray in (x for x in head[i + 3 :] if not x.startswith("governance ")):
-        raise TraceCorruption(f"expected epoch header, got {stray!r}")
+    strays = [x for x in head[i + 3 :] if not x.startswith("governance ")]
+    if strays:
+        raise TraceCorruption(f"expected epoch header, got {strays[0]!r}")
     epochs = []
     while line.startswith("[epoch "):
         if not line.endswith("]\n"):
@@ -314,7 +338,8 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
     makes of the config; a difference is reported by line number and
     nothing is replayed.  The second pass starts over and reads one block
     at a time as the replay's :meth:`netsim.Simulator.epochs` hands on each
-    epoch; the recorded block must render to the same bytes.  The replay's chains
+    epoch; the recorded block must render to the same bytes, and a file
+    cut short or grown by a block since the first pass is corruption.  The replay's chains
     verified exactly those packets against exactly those committees, and
     its gas, latency, slashing and ledger rules are the ones the run used,
     so no rule is checked a second time here.
@@ -348,8 +373,10 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
     source.seek(0)
     blocks = _blocks(itertools.islice(source, head.count("\n"), None))
     replay = netsim.Simulator(config).epochs()
+    compared = 0
     try:
         for epoch, recorded, record in zip(seen, blocks, replay):
+            compared += 1
             replayed = render_block(record)
             if recorded != replayed:
                 return TraceCheck(
@@ -357,6 +384,8 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
                 )
     finally:
         replay.close()
+    if compared < len(seen) or next(blocks, None) is not None:  # cut or grown since pass 1
+        return TraceCheck(exit_code=2, problems=("corrupt trace: it changed while being read",))
     return TraceCheck(exit_code=0, problems=())
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from vzor import sig
+from vzor import trace as trace_mod
 from vzor.cli import cmd_run, cmd_verify_trace, main
 from vzor.scenario import ScenarioConfig, canonical_text, parse_config
 
@@ -306,3 +307,20 @@ def test_memory_does_not_grow_with_the_run(tmp_path, monkeypatch):
         sig.reset()
     for few, many in zip(short, long):
         assert many < few + 128 * 1024, (few, many)
+
+
+def test_interrupted_run_leaves_the_last_outputs_alone(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "a.txt", SMALL), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def interrupt_at_epoch_3(record, chains, csv_line=trace_mod.csv_line):
+        if record.epoch == 3:
+            raise KeyboardInterrupt
+        return csv_line(record, chains)
+
+    monkeypatch.setattr(trace_mod, "csv_line", interrupt_at_epoch_3)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", _write(tmp_path, "b.txt", FRAUD), "--out", str(out)])
+    # no .tmp file is left, and config.txt still describes trace.txt
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

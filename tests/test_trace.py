@@ -192,6 +192,42 @@ def test_verify_exits_2_on_tampered_config(honest_trace):
     assert verify_trace_text(text).exit_code == 2
 
 
+class _RewrittenBetweenPasses(io.StringIO):
+    """A trace file that ``rewrite`` replaces when verify-trace seeks back to
+    its start for the second pass, as a copy over the file would."""
+
+    def __init__(self, text, rewrite):
+        super().__init__(text)
+        self.rewrite = rewrite
+
+    def seek(self, *args):
+        text = self.rewrite(self.getvalue())
+        super().seek(0)
+        self.truncate()
+        self.write(text)
+        return super().seek(*args)
+
+
+def _grow(text):
+    last = text[text.rindex("[epoch ") : -len("[end]\n")]
+    return text[: -len("[end]\n")] + last + "[end]\n"
+
+
+@pytest.mark.parametrize(
+    ("rewrite", "exit_code"),
+    [
+        (lambda text: text, 0),
+        (lambda text: text[: text.rindex("[epoch ")], 2),
+        (lambda text: text[: len(text) // 2], 2),
+        (_grow, 2),
+    ],
+    ids=["unchanged", "last-block-cut", "cut-mid-block", "block-added"],
+)
+def test_verify_exits_2_when_the_trace_changes_between_passes(honest_trace, rewrite, exit_code):
+    check = verify_trace_text(_RewrittenBetweenPasses(render_trace(honest_trace), rewrite))
+    assert check.exit_code == exit_code, check.problems
+
+
 # -- clean traces (exit 0) --------------------------------------------------------------
 
 

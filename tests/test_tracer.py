@@ -36,10 +36,8 @@ def test_tracer_wraps_a_run_and_its_verify_then_unwraps(tmp_path, monkeypatch):
     values = bench_run.layer_metrics(tracer, counts, 2, 1, 0.0)
     assert list(values) == [name for name, _, _ in bench_run.PER_LAYER]
     assert values["sig.signs_per_epoch"] == 65  # 50 VRF proofs and 15 observations
-    # vzor run streams each epoch from Simulator.epochs, calling neither
-    # Simulator.run nor render_trace: the loop's time is cli.cmd_run's own
-    assert values["netsim.loop_self_s"] == 0
-    assert values["trace.render_trace_ms"] == 0
+    assert values["netsim.loop_self_s"] > 0
+    assert values["trace.render_trace_ms"] > 0
     assert values["trace.parse_trace_ms"] > 0
     # the replay streams inside verify_trace_text and calls no netsim.run:
     # the whole verify counts as phase 1
