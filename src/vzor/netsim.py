@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation of the full epoch lifecycle.
 
-One epoch runs: pulse emission, committee draw, observation collection
-under bounded message delay, packet build after the modeled proving
-time, delivery to every destination chain, verification receipts, and,
-on rejection, watcher relay plus hub slashing.
+One epoch runs: pulse emission, committee draw, in which each member that
+does not withhold signs its observation, packet build after the modeled
+proving time, delivery to every destination chain, verification receipts,
+and, on rejection, watcher relay plus hub slashing.
 
 All simulated time is integer milliseconds and every random draw comes
 from named sub-streams of the single scenario seed, so a (scenario,
@@ -14,7 +14,9 @@ Latency accounting: observations close at pulse-time + delta_net_max
 each chain receives it after its own delay <= delta_net_max, and the
 verdict is final tau_f after arrival.  End-to-end latency is therefore
 bounded by tau_f_max + delta_net_max + t_prove plus a fixed slack of
-one extra delta_net_max for the observation leg.
+one extra delta_net_max for the observation leg.  An observation's own
+delay is at most delta_net_max, so each one is in by the build whatever
+its delay: the draw hands it to the epoch, with no arrival event.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .beacon import BeaconParams, Pulse, make_chain
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
 from .encoding import be_u64, tagged_digest
 from .errors import QuorumNotMet, RegistryTooSmall
-from .hub import Hub, accuse_all_signers
+from .hub import GovernanceUpdate, Hub, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
 from .scenario import ScenarioConfig
@@ -86,15 +88,11 @@ def governed_hub(config: ScenarioConfig) -> Hub:
     return hub
 
 
-def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceRecord, ...]:
+def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceUpdate, ...]:
     """The hub's updates that take effect within ``epochs``, in the order
     they do: by effective epoch, ties in proposal order."""
     updates = sorted(hub.updates, key=lambda u: u.effective_epoch)
-    return tuple(
-        GovernanceRecord(u.effective_epoch, u.parameter, u.value)
-        for u in updates
-        if u.effective_epoch < epochs
-    )
+    return tuple(u for u in updates if u.effective_epoch < epochs)
 
 
 def latency_bound_ms(config: ScenarioConfig) -> int:
@@ -112,13 +110,6 @@ class SlashInfo:
     slashed: tuple[int, ...]
     per_reporter_cut: int
     total_cut: int
-
-
-@dataclass(frozen=True)
-class GovernanceRecord:
-    effective_epoch: int
-    parameter: str
-    value: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ class EpochRecord:
 class RunTrace:
     config: ScenarioConfig
     records: tuple[EpochRecord, ...]
-    governance_records: tuple[GovernanceRecord, ...]
+    governance_records: tuple[GovernanceUpdate, ...]
     final_total: int
     final_burned: int
     gas_totals: tuple[tuple[str, str, int], ...]  # (chain_id, op, total), fixed order
@@ -303,7 +294,6 @@ class Simulator:
 
         self._rng_walk = _stream(config.seed, "walk")
         self._rng_noise = _stream(config.seed, "noise")
-        self._rng_obs_delay = _stream(config.seed, "delay/observation")
         self._rng_chain_delay = {
             name: _stream(config.seed, f"delay/chain/{name}") for name in config.chains
         }
@@ -410,9 +400,7 @@ class Simulator:
             )
         except RegistryTooSmall:
             return  # slashing left fewer active reporters than n: no committee, no packet
-        t0 = self._t0(epoch)
-        for ident, _ in state.committee.members:
-            rid = ident.id
+        for rid in state.committee.member_ids():
             if self.config.adversary_behavior == "withhold" and rid in self.controlled:
                 continue
             if self.config.adversary_behavior == "wrong_value" and rid in self.controlled:
@@ -420,18 +408,10 @@ class Simulator:
             else:
                 noise = self._rng_noise.randint(-self.config.noise_max, self.config.noise_max)
                 value = self._clamp(self.truth[epoch] + noise)
-            arrival = t0 + self._delay(self._rng_obs_delay)
-            self._push(arrival, self._on_observation, epoch, rid, value)
+            state.observations.append(sign_observation(self.secrets[rid], value, epoch, state.agg))
         # observations close at the delta_net_max deadline; proving takes t_prove
-        built = t0 + self.config.delta_net_max_ms + self.config.t_prove_ms
+        built = self._t0(epoch) + self.config.delta_net_max_ms + self.config.t_prove_ms
         self._push(built, self._on_packet_built, epoch)
-
-    def _on_observation(self, epoch: int, reporter_id: int, value: int) -> None:
-        state = self._states[epoch]
-        assert state.agg is not None
-        state.observations.append(
-            sign_observation(self.secrets[reporter_id], value, epoch, state.agg)
-        )
 
     def _on_packet_built(self, epoch: int) -> None:
         state = self._states[epoch]
@@ -510,7 +490,7 @@ class Simulator:
             epoch=epoch,
             t0_ms=t0,
             pulse_digest=state.pulse.chain_digest,
-            committee=tuple(sorted((i.id, i.public_key) for i, _ in members)),
+            committee=tuple(sorted((i.id, i.public_key) for i in members)),
             packet_bytes=None if state.packet is None else state.packet.to_bytes(),
             median=None if state.packet is None else state.packet.median,
             receipts=receipts,

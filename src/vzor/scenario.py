@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, field, fields
 from decimal import InvalidOperation
+from itertools import groupby
 from typing import Any, Callable
 
 from .chains import CHAIN_PRESETS
@@ -145,24 +146,23 @@ class ScenarioConfig:
             raise InvalidScenario("initial stake below registration minimum")
         if self.governance_delay_epochs < 0:
             raise InvalidScenario("governance delay cannot be negative")
-        # replay the governance timeline so a mid-run update cannot create
-        # an inconsistent parameter set
+        # replay the governance timeline in the order Hub.effective_params
+        # applies it (every update waits the same delay), and check the bounds
+        # once each epoch's updates are all in
         governed = self.genesis_governed()
-        timeline = sorted(
-            enumerate(self.governance),
-            key=lambda pair: (pair[1].at_epoch + self.governance_delay_epochs, pair[0]),
-        )
-        for _, item in timeline:
-            if item.parameter not in GOVERNED_PARAMETERS:
-                raise InvalidScenario(f"{item.parameter!r} is not governed")
-            if item.at_epoch < 0:
-                raise InvalidScenario("governance proposals need a non-negative epoch")
-            if item.value < 1:
-                raise InvalidScenario("governed values must be positive")
-            governed = governed.with_update(item.parameter, item.value)
+        timeline = sorted(self.governance, key=lambda item: item.at_epoch)  # ties: proposal order
+        for at_epoch, items in groupby(timeline, key=lambda item: item.at_epoch):
+            for item in items:
+                if item.parameter not in GOVERNED_PARAMETERS:
+                    raise InvalidScenario(f"{item.parameter!r} is not governed")
+                if item.at_epoch < 0:
+                    raise InvalidScenario("governance proposals need a non-negative epoch")
+                if item.value < 1:
+                    raise InvalidScenario("governed values must be positive")
+                governed = governed.with_update(item.parameter, item.value)
             if not 1 <= governed.f_min <= governed.n <= self.registry_size:
                 raise InvalidScenario(
-                    f"governance at epoch {item.at_epoch} breaks quorum/committee bounds"
+                    f"governance at epoch {at_epoch} breaks quorum/committee bounds"
                 )
 
 

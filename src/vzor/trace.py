@@ -34,12 +34,10 @@ from .errors import TraceCorruption
 from .packets import OraclePacket
 from .proofs import verify
 from .scenario import ScenarioConfig, canonical_text, parse_config
-from .vrf import Committee, ReporterIdentity, VrfOutput
+from .vrf import Committee, ReporterIdentity
 
 TRACE_HEADER = "vzor-trace v1"
 TRACE_END = "[end]\n"
-
-_PLACEHOLDER_SCORE = VrfOutput(value=0, proof=b"", input_digest=b"")
 
 
 def ms_to_s_text(ms: int) -> str:
@@ -271,7 +269,7 @@ def _verdict_problems(config: ScenarioConfig, epoch: int, block: list[str]) -> l
     members = []
     for item in body["committee"].split(","):
         rid_text, pk_hex = item.split(":", 1)
-        members.append((ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)), _PLACEHOLDER_SCORE))
+        members.append(ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)))
     packet = OraclePacket.from_bytes(bytes.fromhex(body["packet"]))
     governed = netsim.governed_hub(config).effective_params(epoch)
     result = verify(packet, Committee(epoch, tuple(members)), config.aggregation_params(governed))

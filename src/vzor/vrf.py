@@ -121,26 +121,28 @@ class SortitionParams:
 
 @dataclass(frozen=True)
 class Committee:
-    """Epoch committee: members ordered ascending by score, id as tiebreak."""
+    """Epoch committee: the selected identities, ascending by VRF score, id as
+    tiebreak.  :func:`select_committee` checks the scores and drops them;
+    what follows the draw reads only the member set."""
 
     epoch: int
-    members: tuple[tuple[ReporterIdentity, VrfOutput], ...]
+    members: tuple[ReporterIdentity, ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def member_ids(self) -> tuple[int, ...]:
-        return tuple(ident.id for ident, _ in self.members)
+        return tuple(ident.id for ident in self.members)
 
     def public_keys(self) -> dict[int, bytes]:
-        return {ident.id: ident.public_key for ident, _ in self.members}
+        return {ident.id: ident.public_key for ident in self.members}
 
     def digest(self) -> bytes:
         """Digest of the member set: (id, public key) pairs sorted by id."""
         parts = [
             be_u64(ident.id) + ident.public_key
-            for ident, _ in sorted(self.members, key=lambda m: m[0].id)
+            for ident in sorted(self.members, key=lambda ident: ident.id)
         ]
         return tagged_digest(_COMMITTEE_TAG, *parts)
 
@@ -210,7 +212,7 @@ def select_committee(
     for ident, out in selected:
         if not _verify(ident.public_key, message, input_digest, out):
             raise UnverifiableScore(f"reporter {ident.id} offered an unverifiable score")
-    return Committee(epoch=epoch, members=tuple(selected))
+    return Committee(epoch=epoch, members=tuple(ident for ident, _ in selected))
 
 
 def prediction_bound(b: int, n: int, kappa: int) -> float:

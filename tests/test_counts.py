@@ -21,19 +21,19 @@ FRAUD = ScenarioConfig(
     seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2
 )
 
-# Per epoch: 65 signs (50 VRF proofs, 15 observations) and 60 memo hits
-# (15 committee VRF proofs, 15 observations at packet build and 15 witness
-# signatures on each of 2 chains); each slash adds the hub's 15 witness
-# checks.  No signature needs a real verify.
+# Per epoch: 65 signs (50 VRF proofs, 15 observations signed in the draw)
+# and 60 memo hits (15 committee VRF proofs, 15 observations at packet build
+# and 15 witness signatures on each of 2 chains); each slash adds the hub's
+# 15 witness checks.  No signature needs a real verify.  An honest epoch
+# takes 5 events: pulse, draw, build and one delivery per chain.
 EXPECTED = {
     "honest": {
         "signs": 390,
         "real_verifies": 0,
         "memo_hits": 360,
-        "digests": 1077,
+        "digests": 1076,
         "events": {
             "_on_committee_draw": 6,
-            "_on_observation": 90,
             "_on_packet_built": 6,
             "_on_packet_delivered": 12,
             "_on_pulse": 6,
@@ -43,11 +43,10 @@ EXPECTED = {
         "signs": 390,
         "real_verifies": 0,
         "memo_hits": 405,
-        "digests": 1197,
+        "digests": 1196,
         "events": {
             "_on_committee_draw": 6,
             "_on_fraud_relayed": 6,
-            "_on_observation": 90,
             "_on_packet_built": 6,
             "_on_packet_delivered": 12,
             "_on_pulse": 6,

@@ -11,7 +11,9 @@ from vzor.netsim import (
     reporter_key_seed,
     run,
 )
+from vzor.packets import OraclePacket
 from vzor.scenario import GovernanceItem, ScenarioConfig
+from vzor.trace import render_trace, verify_trace_text
 
 BASE = ScenarioConfig(seed=7, epochs=12, registry_size=50)
 
@@ -110,6 +112,26 @@ def test_zero_network_delay_pins_latency():
         assert final_by_chain["sepolia"] == record.t0_ms + 830 + 15_000
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"t_prove_s": 0.0, "delta_net_min_s": 2.0},  # every arrival ties with the build
+        {"delta_net_min_s": 0.0, "delta_net_max_s": 0.0},
+        {"adversary_behavior": "withhold", "adversary_count": 5},
+    ],
+)
+def test_every_observation_is_in_by_the_build(overrides):
+    # an observation's delay is at most delta_net_max, so the packet built at
+    # t0 + delta_net_max + t_prove holds every member that did not withhold
+    config = _scenario(**overrides)
+    trace = run(config)
+    for record in trace.records:
+        witness = OraclePacket.from_bytes(record.packet_bytes).witness
+        observed = [rid for rid in record.committee_ids() if rid not in config.controlled_ids()]
+        assert [entry.reporter_id for entry in witness.entries] == observed
+    assert verify_trace_text(render_trace(trace)).exit_code == 0
+
+
 def test_single_chain_run():
     trace = run(_scenario(chains=("scroll",)))
     assert tuple(trace.config.chains) == ("scroll",)
@@ -201,9 +223,9 @@ def test_governance_resizes_committee_mid_run():
     for record in trace.records:
         expected = 21 if record.epoch >= 4 else 15
         assert len(record.committee) == expected
-    assert trace.governance_records == (
-        type(trace.governance_records[0])(effective_epoch=4, parameter="n", value=21),
-    )
+    assert [(u.effective_epoch, u.parameter, u.value) for u in trace.governance_records] == [
+        (4, "n", 21)
+    ]
     gas = {(chain, op): total for chain, op, total in trace.gas_totals}
     assert gas[("sepolia", OP_GOVERNANCE)] == 38_220
     assert gas[("scroll", OP_GOVERNANCE)] == 11_706

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from vzor.errors import ConfigError, InvalidScenario
+from vzor.netsim import governed_hub
 from vzor.scenario import (
     BEHAVIORS,
     GovernanceItem,
@@ -147,6 +148,22 @@ def test_governance_timeline_composes():
     )
     with pytest.raises(InvalidScenario):
         config.validate()
+
+
+@pytest.mark.parametrize(
+    "governance",
+    [
+        (GovernanceItem("n", 9, 3), GovernanceItem("f_min", 8, 3)),
+        (GovernanceItem("f_min", 8, 3), GovernanceItem("n", 9, 3)),
+    ],
+)
+def test_same_epoch_updates_are_checked_together(governance):
+    # both orders give f_min = 8, n = 9 from epoch 5 on; the bounds are
+    # checked once the epoch's updates are all in, not after each one
+    config = dataclasses.replace(ScenarioConfig(), governance=governance)
+    config.validate()
+    params = governed_hub(config).effective_params(5)
+    assert (params.f_min, params.n) == (8, 9)
 
 
 def test_controlled_ids():

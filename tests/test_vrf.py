@@ -59,12 +59,10 @@ def test_committee_draw_is_deterministic(key_pool, pulses):
 def test_committee_sorted_by_score(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[2], 2)
     committee = select_committee(pulses[2], 2, scored, SortitionParams(committee_size=15))
-    values = [out.value for _, out in committee.members]
-    assert values == sorted(values)
-    # the selected scores are the n smallest overall
-    cutoff = max(values)
-    outside = [out.value for _, out in scored if out.value not in values]
-    assert all(v >= cutoff for v in outside)
+    # the members are the identities of the n smallest scores, in ascending
+    # (score, id) order
+    ranked = sorted((out.value, ident.id, ident) for ident, out in scored)
+    assert committee.members == tuple(ident for _, _, ident in ranked[:15])
 
 
 def test_registry_too_small(key_pool, pulses):
