@@ -14,9 +14,11 @@ config values are converted through Decimal to avoid float dust.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from typing import Optional, Union
+from itertools import takewhile
+from typing import Iterator, Optional, Union
 
 from .errors import (
     AlreadyRegistered,
@@ -80,7 +82,6 @@ class GovernanceUpdate:
     parameter: str
     value: int
     effective_epoch: int
-    sequence: int  # proposal order, breaks same-epoch ties
 
 
 @dataclass
@@ -187,7 +188,7 @@ class Hub:
         self.genesis = genesis
         self.governance_delay = governance_delay
         self.ledger = StakeLedger()
-        self.updates: list[GovernanceUpdate] = []
+        self.updates: list[GovernanceUpdate] = []  # by effective epoch, ties in proposal order
         self._reports: dict[bytes, SlashReport] = {}
 
     # -- registration --------------------------------------------------------
@@ -206,22 +207,22 @@ class Hub:
             parameter=parameter,
             value=value,
             effective_epoch=at_epoch + self.governance_delay,
-            sequence=len(self.updates),
         )
-        self.updates.append(update)
+        insort(self.updates, update, key=lambda u: u.effective_epoch)
         return update
 
-    def effective_params(self, epoch: int) -> GovernedParams:
-        """Parameters in force at ``epoch``: genesis plus every update whose
-        effective epoch has been reached, later proposals winning ties."""
+    def timeline(self) -> Iterator[tuple[int, GovernedParams]]:
+        """(effective epoch, parameters once it applies) for each update, in the
+        order they apply: by effective epoch, later proposals winning ties."""
         params = self.genesis
-        pending = sorted(
-            (u for u in self.updates if u.effective_epoch <= epoch),
-            key=lambda u: (u.effective_epoch, u.sequence),
-        )
-        for update in pending:
+        for update in self.updates:
             params = params.with_update(update.parameter, update.value)
-        return params
+            yield update.effective_epoch, params
+
+    def effective_params(self, epoch: int) -> GovernedParams:
+        """Parameters in force at ``epoch``: the last step of :meth:`timeline` by then."""
+        steps = list(takewhile(lambda step: step[0] <= epoch, self.timeline()))
+        return steps[-1][1] if steps else self.genesis
 
     # -- adjudication ----------------------------------------------------------
 

@@ -46,11 +46,9 @@ from .vrf import (
     SIGNATURE_BYTES,
     Committee,
     ReporterSecret,
-    SortitionParams,
     evaluate_registry,
     select_committee,
     sortition_signed_message,
-    vrf_keygen,
 )
 
 _RNG_TAG = "VZOR/rng/v1"
@@ -89,10 +87,8 @@ def governed_hub(config: ScenarioConfig) -> Hub:
 
 
 def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceUpdate, ...]:
-    """The hub's updates that take effect within ``epochs``, in the order
-    they do: by effective epoch, ties in proposal order."""
-    updates = sorted(hub.updates, key=lambda u: u.effective_epoch)
-    return tuple(u for u in updates if u.effective_epoch < epochs)
+    """The hub's updates that take effect within ``epochs``, in the order they do."""
+    return tuple(u for u in hub.updates if u.effective_epoch < epochs)
 
 
 def latency_bound_ms(config: ScenarioConfig) -> int:
@@ -282,7 +278,7 @@ class Simulator:
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
         self.hub = governed_hub(config)
         self.secrets: list[ReporterSecret] = [
-            vrf_keygen(reporter_key_seed(config.seed, rid), rid)[1]
+            ReporterSecret(rid, reporter_key_seed(config.seed, rid))
             for rid in range(config.registry_size)
         ]
 
@@ -395,9 +391,7 @@ class Simulator:
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
         scored = evaluate_registry(active, state.pulse, epoch, self._scorer.proofs(epoch))
         try:
-            state.committee = select_committee(
-                state.pulse, epoch, scored, SortitionParams(committee_size=governed.n)
-            )
+            state.committee = select_committee(state.pulse, epoch, scored, governed.n)
         except RegistryTooSmall:
             return  # slashing left fewer active reporters than n: no committee, no packet
         for rid in state.committee.member_ids():

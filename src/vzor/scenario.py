@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, field, fields
 from decimal import InvalidOperation
-from itertools import groupby
 from typing import Any, Callable
 
 from .chains import CHAIN_PRESETS
 from .errors import ConfigError, InvalidScenario
-from .hub import GOVERNED_PARAMETERS, GovernedParams, eth_to_wei, wei_to_eth_text
+from .hub import GOVERNED_PARAMETERS, GovernedParams, Hub, eth_to_wei, wei_to_eth_text
 from .oracle import AggregationParams
 
 BEHAVIORS = ("honest", "wrong_value", "wrong_median_packet", "withhold")
@@ -146,21 +145,19 @@ class ScenarioConfig:
             raise InvalidScenario("initial stake below registration minimum")
         if self.governance_delay_epochs < 0:
             raise InvalidScenario("governance delay cannot be negative")
-        # replay the governance timeline in the order Hub.effective_params
-        # applies it (every update waits the same delay), and check the bounds
-        # once each epoch's updates are all in
-        governed = self.genesis_governed()
-        timeline = sorted(self.governance, key=lambda item: item.at_epoch)  # ties: proposal order
-        for at_epoch, items in groupby(timeline, key=lambda item: item.at_epoch):
-            for item in items:
-                if item.parameter not in GOVERNED_PARAMETERS:
-                    raise InvalidScenario(f"{item.parameter!r} is not governed")
-                if item.at_epoch < 0:
-                    raise InvalidScenario("governance proposals need a non-negative epoch")
-                if item.value < 1:
-                    raise InvalidScenario("governed values must be positive")
-                governed = governed.with_update(item.parameter, item.value)
+        # check the bounds on the hub's own timeline, once each epoch's updates all apply
+        hub = Hub(self.genesis_governed(), self.governance_delay_epochs)
+        for item in self.governance:
+            if item.parameter not in GOVERNED_PARAMETERS:
+                raise InvalidScenario(f"{item.parameter!r} is not governed")
+            if item.at_epoch < 0:
+                raise InvalidScenario("governance proposals need a non-negative epoch")
+            if item.value < 1:
+                raise InvalidScenario("governed values must be positive")
+            hub.propose_update(item.parameter, item.value, item.at_epoch)
+        for effective_epoch, governed in dict(hub.timeline()).items():
             if not 1 <= governed.f_min <= governed.n <= self.registry_size:
+                at_epoch = effective_epoch - hub.governance_delay
                 raise InvalidScenario(
                     f"governance at epoch {at_epoch} breaks quorum/committee bounds"
                 )

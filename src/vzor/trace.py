@@ -356,7 +356,7 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
         return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
 
     seen = list(parsed.epochs)
-    if seen != list(range(config.epochs)):
+    if len(seen) != config.epochs or seen != list(range(config.epochs)):
         problem = (
             f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
             f"but config says 0..{config.epochs - 1}"

@@ -2,14 +2,15 @@
 
 The VRF is built from a deterministic signature: the proof is an Ed25519
 signature over the domain-separated input, and the output value is a
-256-bit digest of that signature.  Ed25519 signing is deterministic
-(RFC 8032), so the construction yields a unique, publicly verifiable
-value per (key, input) pair.  The construction is a stand-in with the
-standard VRF contract — determinism, uniqueness, verifiability — not an
-interchange-compatible ECVRF.
+256-bit digest of that signature and the input's digest.  Ed25519 signing
+is deterministic (RFC 8032), so the construction yields a unique, publicly
+verifiable value per (key, input) pair.  The construction is a stand-in
+with the standard VRF contract — determinism, uniqueness, verifiability —
+not an interchange-compatible ECVRF.
 
 Sortition follows the lowest-score rule: every reporter scores the
-epoch's entropy pulse, and the ``n`` smallest scores form the committee.
+epoch's entropy pulse, and the ``n`` smallest scores form the committee,
+``n`` being the governed size.  A score is checked against its own epoch.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class ReporterIdentity:
 
 
 class ReporterSecret:
-    """Signing half of a reporter; caches its signer and public identity."""
+    """Signing half of a reporter from its 256-bit seed; caches signer and identity."""
 
     __slots__ = ("id", "_signer", "_identity")
 
@@ -70,23 +71,16 @@ class ReporterSecret:
         return self._identity
 
 
-def vrf_keygen(seed: bytes, reporter_id: int = 0) -> tuple[ReporterIdentity, ReporterSecret]:
-    """Deterministic keypair from a 256-bit seed."""
-    secret = ReporterSecret(reporter_id, seed)
-    return secret.identity(), secret
-
-
 @dataclass(frozen=True)
 class VrfOutput:
     """Sortition score with its verifiability proof.
 
     ``value`` is the 256-bit score, ``proof`` the deterministic signature
-    it was derived from, ``input_digest`` a binding to the scored input.
+    it was derived from; the scored input is the epoch's and is not carried.
     """
 
     value: int
     proof: bytes
-    input_digest: bytes
 
 
 def _output_value(proof: bytes, input_digest: bytes) -> int:
@@ -95,8 +89,6 @@ def _output_value(proof: bytes, input_digest: bytes) -> int:
 
 def _verify(public_key: bytes, message: bytes, input_digest: bytes, out: VrfOutput) -> bool:
     if len(out.proof) != SIGNATURE_BYTES or not 0 <= out.value < VRF_ORDER:
-        return False
-    if input_digest != out.input_digest:
         return False
     if not sig.verify(public_key, message, out.proof):
         return False
@@ -109,28 +101,12 @@ def sortition_input(pulse_value: bytes, epoch: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class SortitionParams:
-    """Committee size: the number of lowest scores that form the committee."""
-
-    committee_size: int = 15
-
-    def __post_init__(self) -> None:
-        if self.committee_size < 1:
-            raise ValueError("committee size must be >= 1")
-
-
-@dataclass(frozen=True)
 class Committee:
-    """Epoch committee: the selected identities, ascending by VRF score, id as
-    tiebreak.  :func:`select_committee` checks the scores and drops them;
-    what follows the draw reads only the member set."""
+    """Epoch committee: the selected identities in score order, id as tiebreak.
+    :func:`select_committee` checks the scores and drops them."""
 
     epoch: int
     members: tuple[ReporterIdentity, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     def member_ids(self) -> tuple[int, ...]:
         return tuple(ident.id for ident in self.members)
@@ -180,7 +156,7 @@ def evaluate_registry(
             proof = proofs[s.id]
             sig.record_own(s.public_key(), message, proof)
         value = _output_value(proof, input_digest)
-        scored.append((s.identity(), VrfOutput(value=value, proof=proof, input_digest=input_digest)))
+        scored.append((s.identity(), VrfOutput(value=value, proof=proof)))
     return scored
 
 
@@ -188,26 +164,29 @@ def select_committee(
     pulse: Pulse,
     epoch: int,
     scored: list[tuple[ReporterIdentity, VrfOutput]],
-    params: SortitionParams,
+    committee_size: int,
 ) -> Committee:
-    """Draw the epoch committee from scored reporters.
+    """Draw the epoch committee of ``n = committee_size`` from scored reporters.
 
-    Takes the ``n`` smallest scores, ties broken by smaller id, and raises
-    RegistryTooSmall when fewer than ``n`` reporters are scored.  Selected
-    members' proofs are verified against the sortition input; a failing
-    proof raises UnverifiableScore.  Scores that do not select their owner
+    Takes the ``n`` smallest scores, ties broken by smaller id; raises
+    ValueError when ``n < 1`` and RegistryTooSmall when fewer than ``n``
+    reporters are scored.  Each selected proof must sign this epoch's
+    sortition message and hash, with the epoch's input digest, to its value,
+    or UnverifiableScore is raised.  Scores that do not select their owner
     cannot change the outcome (an inflated score only excludes its owner),
     so only selected proofs are checked.
     """
+    if committee_size < 1:
+        raise ValueError("committee size must be >= 1")
     ids = [ident.id for ident, _ in scored]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate reporter ids in registry")
     ranked = sorted(scored, key=lambda m: (m[1].value, m[0].id))
-    if len(ranked) < params.committee_size:
+    if len(ranked) < committee_size:
         raise RegistryTooSmall(
-            f"registry has {len(ranked)} reporters, committee needs {params.committee_size}"
+            f"registry has {len(ranked)} reporters, committee needs {committee_size}"
         )
-    selected = ranked[: params.committee_size]
+    selected = ranked[:committee_size]
     message, input_digest = sortition_message(pulse, epoch)
     for ident, out in selected:
         if not _verify(ident.public_key, message, input_digest, out):

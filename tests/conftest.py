@@ -13,7 +13,7 @@ from vzor.beacon import BeaconParams, make_chain
 from vzor.oracle import AggregationParams, sign_observation
 from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import ProofObject, Witness, WitnessEntry
-from vzor.vrf import SortitionParams, evaluate_registry, select_committee, vrf_keygen
+from vzor.vrf import ReporterSecret, evaluate_registry, select_committee
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -24,12 +24,7 @@ POOL_SIZE = 50
 @pytest.fixture(scope="session")
 def key_pool():
     """Deterministic reporter secrets for ids 0..49."""
-    secrets = []
-    for rid in range(POOL_SIZE):
-        seed = bytes([rid]) * 32
-        _, secret = vrf_keygen(seed, rid)
-        secrets.append(secret)
-    return secrets
+    return [ReporterSecret(rid, bytes([rid]) * 32) for rid in range(POOL_SIZE)]
 
 
 @pytest.fixture(scope="session")
@@ -46,9 +41,7 @@ def agg_params():
 def draw_committee(key_pool, pulses):
     def _draw(epoch: int = 0, n: int = 15):
         scored = evaluate_registry(key_pool, pulses[epoch % len(pulses)], epoch)
-        return select_committee(
-            pulses[epoch % len(pulses)], epoch, scored, SortitionParams(committee_size=n)
-        )
+        return select_committee(pulses[epoch % len(pulses)], epoch, scored, n)
 
     return _draw
 

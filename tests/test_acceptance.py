@@ -31,7 +31,7 @@ from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import verify
 from vzor.scenario import ScenarioConfig
 from vzor.trace import render_trace
-from vzor.vrf import SortitionParams, evaluate_registry, select_committee
+from vzor.vrf import evaluate_registry, select_committee
 
 from conftest import MUTATION_KINDS, mutate_packet
 
@@ -164,11 +164,10 @@ def test_criterion_04_sortition_fairness(key_pool):
     started = time.monotonic()
     epochs = 10_000
     pulses = make_chain(BeaconParams(seed=b"\x11" * 32), epochs)
-    params = SortitionParams(committee_size=15)
     counts = {rid: 0 for rid in range(50)}
     for epoch in range(epochs):
         scored = evaluate_registry(key_pool, pulses[epoch], epoch)
-        for rid in select_committee(pulses[epoch], epoch, scored, params).member_ids():
+        for rid in select_committee(pulses[epoch], epoch, scored, 15).member_ids():
             counts[rid] += 1
     frequencies = [counts[rid] / epochs for rid in range(50)]
     freq_ok = all(0.28 <= f <= 0.32 for f in frequencies)
@@ -187,17 +186,12 @@ def test_criterion_04_sortition_fairness(key_pool):
 def test_criterion_05_pulse_sensitivity(key_pool):
     trials = 1000
     pulses = make_chain(BeaconParams(seed=b"\x13" * 32), trials)
-    params = SortitionParams(committee_size=15)
     changed = 0
     for trial in range(trials):
         pulse = pulses[trial]
         flipped = dataclasses.replace(pulse, value=_flip_bit(pulse.value, trial % 512))
-        base = select_committee(
-            pulse, trial, evaluate_registry(key_pool, pulse, trial), params
-        )
-        other = select_committee(
-            flipped, trial, evaluate_registry(key_pool, flipped, trial), params
-        )
+        base = select_committee(pulse, trial, evaluate_registry(key_pool, pulse, trial), 15)
+        other = select_committee(flipped, trial, evaluate_registry(key_pool, flipped, trial), 15)
         if set(base.member_ids()) != set(other.member_ids()):
             changed += 1
     _report(

@@ -183,6 +183,18 @@ def test_same_epoch_proposals_later_wins():
     assert hub.effective_params(3).f_min == 13
 
 
+def test_updates_apply_by_effective_epoch_not_proposal_order():
+    hub = Hub(governance_delay=2)
+    hub.propose_update("f_min", 13, at_epoch=4)
+    hub.propose_update("f_min", 11, at_epoch=1)
+    hub.propose_update("n", 20, at_epoch=4)
+    assert [u.effective_epoch for u in hub.updates] == [3, 6, 6]
+    steps = [(at, params.f_min, params.n) for at, params in hub.timeline()]
+    assert steps == [(3, 11, 15), (6, 13, 15), (6, 13, 20)]
+    assert hub.effective_params(5).f_min == 11
+    assert (hub.effective_params(6).f_min, hub.effective_params(6).n) == (13, 20)
+
+
 def test_independent_parameters_compose():
     hub = Hub()
     hub.propose_update("f_min", 12, at_epoch=0)

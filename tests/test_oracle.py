@@ -166,7 +166,7 @@ def test_collect_witness_drops_bad_signature(key_pool, draw_committee, agg_param
         observations[3], signature=sig[:-1] + bytes([sig[-1] ^ 1])
     )
     witness = collect_witness(observations, committee, agg_params)
-    assert len(witness.entries) == committee.size - 1
+    assert len(witness.entries) == len(committee.members) - 1
     assert observations[3].reporter_id not in {e.reporter_id for e in witness.entries}
 
 
@@ -174,11 +174,11 @@ def test_collect_witness_drops_out_of_range(key_pool, draw_committee):
     wide = AggregationParams(value_max=10**15)
     narrow = AggregationParams(value_max=10**12)
     committee = draw_committee(1)
-    values = [1_000 + i for i in range(committee.size)]
+    values = [1_000 + i for i in range(len(committee.members))]
     values[0] = 10**13  # in range for the signer, rejected by the verifier
     observations = _observe_all(key_pool, committee, wide, 1, values)
     witness = collect_witness(observations, committee, narrow)
-    assert len(witness.entries) == committee.size - 1
+    assert len(witness.entries) == len(committee.members) - 1
 
 
 def test_collect_witness_quorum_not_met(key_pool, draw_committee, agg_params):
@@ -190,7 +190,7 @@ def test_collect_witness_quorum_not_met(key_pool, draw_committee, agg_params):
 
 def test_build_packet_honest(key_pool, draw_committee, agg_params):
     committee = draw_committee(2)
-    values = [500 + 3 * i for i in range(committee.size)]
+    values = [500 + 3 * i for i in range(len(committee.members))]
     observations = _observe_all(key_pool, committee, agg_params, 2, values)
     packet = build_packet(observations, committee, agg_params)
     assert packet.epoch == 2

@@ -1,8 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vzor.errors import ConfigError, InvalidScenario
+from vzor.hub import Hub
 from vzor.netsim import governed_hub
 from vzor.scenario import (
     BEHAVIORS,
@@ -164,6 +167,40 @@ def test_same_epoch_updates_are_checked_together(governance):
     config.validate()
     params = governed_hub(config).effective_params(5)
     assert (params.f_min, params.n) == (8, 9)
+
+
+@given(
+    governance=st.lists(
+        st.builds(
+            GovernanceItem,
+            parameter=st.sampled_from(("f_min", "n")),
+            value=st.integers(1, 24),
+            at_epoch=st.integers(0, 5),
+        ),
+        max_size=4,
+    ),
+    delay=st.integers(0, 3),
+)
+def test_validate_rejects_exactly_the_hubs_broken_epochs(governance, delay):
+    # the bounds must hold at every epoch of the timeline the run's hub applies
+    config = dataclasses.replace(
+        ScenarioConfig(),
+        registry_size=20,
+        governance_delay_epochs=delay,
+        governance=tuple(governance),
+    )
+    hub = Hub(config.genesis_governed(), delay)
+    for item in governance:
+        hub.propose_update(item.parameter, item.value, item.at_epoch)
+    broken = any(
+        not 1 <= p.f_min <= p.n <= config.registry_size
+        for p in map(hub.effective_params, range(5 + delay + 1))
+    )
+    if broken:
+        with pytest.raises(InvalidScenario):
+            config.validate()
+    else:
+        config.validate()
 
 
 def test_controlled_ids():

@@ -15,7 +15,7 @@ from vzor.cli import main
 from vzor.errors import UnverifiableScore
 from vzor.netsim import run
 from vzor.scenario import ScenarioConfig
-from vzor.vrf import vrf_keygen
+from vzor.vrf import ReporterSecret
 
 from test_scorer import split
 from test_trace import _edit_witness, _flip_signature_bit
@@ -71,7 +71,7 @@ def test_wrong_length_seed_is_refused(monkeypatch, backend, length):
     with pytest.raises(ValueError):
         sig.Signer(b"\x21" * length)
     with pytest.raises(ValueError):
-        vrf_keygen(b"\x21" * length)
+        ReporterSecret(0, b"\x21" * length)
     with pytest.raises(TypeError):  # an int is no seed, not even 32 zero bytes
         sig.Signer(32)
 

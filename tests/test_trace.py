@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from vzor.trace import (
     verify_trace_file,
     verify_trace_text,
 )
-from vzor.vrf import vrf_keygen
+from vzor.vrf import ReporterSecret
 
 BASE = ScenarioConfig(seed=7, epochs=12)
 
@@ -334,6 +335,23 @@ def test_verify_catches_missing_epoch(honest_trace):
     assert any("covers epochs" in problem for problem in check.problems)
 
 
+def test_claimed_epoch_count_does_not_size_memory():
+    # a one-epoch trace edited to claim two million epochs is found short in
+    # memory that follows the file, not the epoch count it claims
+    text = render_trace(netsim.run(dataclasses.replace(BASE, epochs=1)))
+    edited = text.replace("\nepochs = 1\n", "\nepochs = 2000000\n", 1)
+    assert edited != text
+    tracemalloc.start()
+    try:
+        check = verify_trace_text(edited)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.exit_code == 4
+    assert "covers epochs" in check.problems[0]
+    assert peak < 1 << 20
+
+
 def test_divergence_names_its_epoch_and_field(honest_trace):
     # edits that decode are found by the replay: the report names the epoch,
     # kind and field of an edited block line, and the number of another line
@@ -514,7 +532,7 @@ def test_valid_signature_over_another_value_exits_4(seam):
     def resign(entries):
         entry = entries[0]
         rid = entry.reporter_id
-        secret = vrf_keygen(netsim.reporter_key_seed(SHORT.seed, rid), rid)[1]
+        secret = ReporterSecret(rid, netsim.reporter_key_seed(SHORT.seed, rid))
         message = observation_message(entry.value + 1, epoch, rid)
         forged.append((secret.public_key(), message, secret.sign(message)))
         entries[0] = dataclasses.replace(entry, signature=forged[0][2])

@@ -6,12 +6,11 @@ from vzor.errors import RegistryTooSmall, UnverifiableScore
 from vzor.vrf import (
     VRF_ORDER,
     Committee,
-    SortitionParams,
+    ReporterSecret,
     evaluate_registry,
     prediction_bound,
     select_committee,
     sortition_input,
-    vrf_keygen,
 )
 
 
@@ -25,9 +24,7 @@ def test_evaluate_is_deterministic(key_pool, pulses):
 def test_verify_accepts_honest_output(key_pool, pulses):
     # a committee of the whole registry verifies every reporter's proof
     scored = evaluate_registry(key_pool, pulses[1], 1)
-    committee = select_committee(
-        pulses[1], 1, scored, SortitionParams(committee_size=len(key_pool))
-    )
+    committee = select_committee(pulses[1], 1, scored, len(key_pool))
     assert sorted(committee.member_ids()) == list(range(len(key_pool)))
 
 
@@ -37,28 +34,27 @@ def test_verify_rejects_wrong_key(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[1], 1)
     scored[7] = (scored[7][0], scored[8][1])
     with pytest.raises(UnverifiableScore):
-        select_committee(pulses[1], 1, scored, SortitionParams(committee_size=len(key_pool)))
+        select_committee(pulses[1], 1, scored, len(key_pool))
 
 
 def test_keygen_deterministic():
-    a1, s1 = vrf_keygen(b"\x09" * 32, 9)
-    a2, s2 = vrf_keygen(b"\x09" * 32, 9)
-    assert a1 == a2
+    s1 = ReporterSecret(9, b"\x09" * 32)
+    s2 = ReporterSecret(9, b"\x09" * 32)
+    assert s1.identity() == s2.identity()
     assert s1.sign(b"m") == s2.sign(b"m")
 
 
 def test_committee_draw_is_deterministic(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[1], 1)
-    params = SortitionParams(committee_size=15)
-    a = select_committee(pulses[1], 1, scored, params)
-    b = select_committee(pulses[1], 1, scored, params)
+    a = select_committee(pulses[1], 1, scored, 15)
+    b = select_committee(pulses[1], 1, scored, 15)
     assert a.member_ids() == b.member_ids()
-    assert a.size == 15
+    assert len(a.members) == 15
 
 
 def test_committee_sorted_by_score(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[2], 2)
-    committee = select_committee(pulses[2], 2, scored, SortitionParams(committee_size=15))
+    committee = select_committee(pulses[2], 2, scored, 15)
     # the members are the identities of the n smallest scores, in ascending
     # (score, id) order
     ranked = sorted((out.value, ident.id, ident) for ident, out in scored)
@@ -68,13 +64,13 @@ def test_committee_sorted_by_score(key_pool, pulses):
 def test_registry_too_small(key_pool, pulses):
     scored = evaluate_registry(key_pool[:10], pulses[0], 0)
     with pytest.raises(RegistryTooSmall):
-        select_committee(pulses[0], 0, scored, SortitionParams(committee_size=15))
+        select_committee(pulses[0], 0, scored, 15)
 
 
 def test_duplicate_ids_rejected(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[0], 0)
     with pytest.raises(ValueError):
-        select_committee(pulses[0], 0, scored + scored[:1], SortitionParams(committee_size=15))
+        select_committee(pulses[0], 0, scored + scored[:1], 15)
 
 
 def test_forged_low_score_is_caught(key_pool, pulses):
@@ -82,7 +78,7 @@ def test_forged_low_score_is_caught(key_pool, pulses):
     cheater_ident, cheater_out = scored[7]
     scored[7] = (cheater_ident, dataclasses.replace(cheater_out, value=0))
     with pytest.raises(UnverifiableScore):
-        select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
+        select_committee(pulses[3], 3, scored, 15)
 
 
 def test_verify_rejects_forged_value(key_pool, pulses):
@@ -92,7 +88,7 @@ def test_verify_rejects_forged_value(key_pool, pulses):
     forged = dataclasses.replace(cheater_out, value=(cheater_out.value + 1) % VRF_ORDER)
     scored[7] = (cheater_ident, forged)
     with pytest.raises(UnverifiableScore):
-        select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
+        select_committee(pulses[3], 3, scored, 15)
 
 
 # edits of a cheater's epoch-3 score besides its value, given its own score,
@@ -113,23 +109,19 @@ def test_edited_low_score_is_caught(key_pool, pulses, edit):
     forged = edit(cheater_out, scored[8][1], earlier)
     scored[7] = (cheater_ident, dataclasses.replace(forged, value=0))
     with pytest.raises(UnverifiableScore):
-        select_committee(pulses[3], 3, scored, SortitionParams(committee_size=15))
+        select_committee(pulses[3], 3, scored, 15)
 
 
 def test_committee_digest_ignores_member_order(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[4], 4)
-    committee = select_committee(pulses[4], 4, scored, SortitionParams(committee_size=15))
+    committee = select_committee(pulses[4], 4, scored, 15)
     shuffled = Committee(epoch=4, members=tuple(reversed(committee.members)))
     assert committee.digest() == shuffled.digest()
 
 
 def test_committee_digest_binds_members(key_pool, pulses):
-    c4 = select_committee(
-        pulses[4], 4, evaluate_registry(key_pool, pulses[4], 4), SortitionParams()
-    )
-    c5 = select_committee(
-        pulses[5], 5, evaluate_registry(key_pool, pulses[5], 5), SortitionParams()
-    )
+    c4 = select_committee(pulses[4], 4, evaluate_registry(key_pool, pulses[4], 4), 15)
+    c5 = select_committee(pulses[5], 5, evaluate_registry(key_pool, pulses[5], 5), 15)
     if c4.member_ids() != c5.member_ids():
         assert c4.digest() != c5.digest()
 
@@ -148,6 +140,7 @@ def test_prediction_bound_values():
     assert bounds == sorted(bounds)
 
 
-def test_sortition_params_validation():
+def test_committee_size_below_one_rejected(key_pool, pulses):
+    scored = evaluate_registry(key_pool, pulses[0], 0)
     with pytest.raises(ValueError):
-        SortitionParams(committee_size=0)
+        select_committee(pulses[0], 0, scored, 0)
