@@ -68,19 +68,23 @@ def chain_digest(index: int, timestamp: int, value: bytes, prev_digest: bytes) -
     return tagged_digest(_CHAIN_TAG, be_u64(index), be_u64(timestamp), value, prev_digest)
 
 
+def next_pulse(params: BeaconParams, prev: Pulse | None, value: bytes) -> Pulse:
+    """The pulse after ``prev``, one period on, carrying ``value``; with no
+    ``prev``, pulse 0, which links to the all-zeros digest at timestamp 0."""
+    index = 0 if prev is None else prev.index + 1
+    prev_digest = ZERO_DIGEST if prev is None else prev.chain_digest
+    timestamp = index * params.period_seconds
+    digest = chain_digest(index, timestamp, value, prev_digest)
+    return Pulse(index, timestamp, value, prev_digest, digest)
+
+
 def make_chain(params: BeaconParams, count: int) -> list[Pulse]:
-    """Generate ``count`` pulses: pulse 0 links to the all-zeros digest at
-    timestamp 0, and each later one to its predecessor, one period on."""
+    """Generate ``count`` pulses from pulse 0, each value derived from the seed."""
     if count < 1:
         raise ValueError("chain needs at least one pulse")
-    pulses = []
-    prev_digest = ZERO_DIGEST
-    for index in range(count):
-        timestamp = index * params.period_seconds
-        value = pulse_value(params.seed, index)
-        digest = chain_digest(index, timestamp, value, prev_digest)
-        pulses.append(Pulse(index, timestamp, value, prev_digest, digest))
-        prev_digest = digest
+    pulses = [next_pulse(params, None, pulse_value(params.seed, 0))]
+    for index in range(1, count):
+        pulses.append(next_pulse(params, pulses[-1], pulse_value(params.seed, index)))
     return pulses
 
 

@@ -1,8 +1,8 @@
 """Destination chains as packet-verifying state machines.
 
 Each chain runs the packet verifier at a fixed, size-independent gas
-cost taken from a per-chain lookup table and records the receipt of
-every accepted packet.  Gas is a table model, not metered execution:
+cost taken from a per-chain lookup table and returns each verdict as a
+receipt.  Gas is a table model, not metered execution:
 each operation kind costs a constant regardless of packet contents or
 committee size.  A rejection is only reported in its receipt; watchers
 relay it to the hub.
@@ -116,7 +116,6 @@ class Chain:
     """
 
     config: ChainConfig
-    recorded: dict[int, Receipt] = field(default_factory=dict)  # epoch -> accepted receipt
     gas_by_op: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -144,15 +143,12 @@ class Chain:
         """Verify a packet on-chain and finalize the verdict.
 
         Charges the constant verify gas whether or not the packet is
-        accepted.  Re-submitting for an epoch whose median is already
-        recorded returns the original receipt unchanged (idempotent
-        replay protection).
+        accepted, on every submission: the simulator delivers each packet to
+        each chain once.
         """
-        if packet.epoch in self.recorded:
-            return self.recorded[packet.epoch]
         gas = self.charge(OP_VERIFY)
         result = verify(packet, committee, params)
-        receipt = Receipt(
+        return Receipt(
             chain_id=self.chain_id,
             accepted=result.accepted,
             reason=result.reason(),
@@ -160,6 +156,3 @@ class Chain:
             block=self._inclusion_height(now_ms),
             final_ms=now_ms + self.config.finality_ms,
         )
-        if result.accepted:
-            self.recorded[packet.epoch] = receipt
-        return receipt

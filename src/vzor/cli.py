@@ -26,7 +26,6 @@ from .scenario import ScenarioConfig, canonical_text, load_config
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVALID = 3
-EXIT_MISMATCH = 4
 
 SWEEPABLE = {
     "n": ("committee_size", int),

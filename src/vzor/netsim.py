@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import sig
-from .beacon import BeaconParams, Pulse, make_chain
+from .beacon import BeaconParams, Pulse, next_pulse, pulse_value
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
 from .encoding import be_u64, tagged_digest
 from .errors import QuorumNotMet, RegistryTooSmall
@@ -63,6 +63,8 @@ _BEACON_SEED_TAG = "VZOR/beacon-seed/v1"
 # at 8,000-24,000.  Runs with fewer sortition signs (epochs x registry_size)
 # score in-process.
 SCORER_MIN_SIGNS = 6000
+
+_Event = tuple[int, int, Callable[..., None], tuple]  # (fire ms, sequence number, handler, args)
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -140,6 +142,7 @@ class RunTrace:
 @dataclass
 class _EpochState:
     pulse: Pulse
+    truth: int  # the walk's value, which honest observations measure
     committee: Optional[Committee] = None
     agg: Optional[AggregationParams] = None
     observations: list[SignedObservation] = field(default_factory=list)
@@ -153,63 +156,69 @@ class _EpochState:
 class _Scorer:
     """The registry's VRF proofs, signed from both ends of one work list.
 
-    A sortition proof is a pure function of (reporter key, pulse, epoch),
-    and every pulse exists before the event loop starts.  The list holds
-    every proof in (epoch, reporter id) order.  The first committee draw
-    forks a child that signs it from that draw on and streams each epoch's
-    64-byte signatures through a pipe.  A draw that needs a proof the pipe
-    has not delivered signs the list's last open proof itself instead of
-    waiting; the child, which sees how far that end has come, stops there,
-    and is killed and reaped the moment the two ends meet.  Each draw
-    records the proofs it uses with ``sig.record_own`` and drops them.
-    When forking is off or unsafe (other threads run) or fails,
-    :meth:`proofs` returns None and the draw signs in-process; when the
-    child dies first, the loop signs the rest in draw order.
+    A sortition proof is a pure function of (reporter key, pulse value,
+    epoch), and a pulse value of (beacon seed, epoch).  The list holds every
+    proof in (epoch, reporter id) order.  A run of SCORER_MIN_SIGNS proofs or
+    more forks, at its first draw, a child that signs the list from that
+    draw on and streams each epoch's 64-byte signatures through a pipe.  A
+    draw that needs a proof the pipe has not delivered signs the list's last
+    open proof itself instead of waiting; the child, which sees how far that
+    end has come, stops there, and is killed and reaped the moment the two
+    ends meet.  Without a child the loop signs in draw order.  Each draw
+    records the proofs it uses with ``sig.record_own`` and drops them.  Pulse
+    values are made here, each once, at its pulse or at the loop's first
+    proof of it, and kept until its epoch's draw.
     """
 
-    def __init__(self, secrets: list[ReporterSecret], pulses: list[Pulse], fork: bool) -> None:
+    def __init__(self, secrets: list[ReporterSecret], beacon_seed: bytes, epochs: int) -> None:
         self._secrets = secrets
-        self._pulses = pulses
-        self._unstarted = fork
-        self._pid = self._fd = self._size = 0  # _size: the list's length
-        self._back = memoryview(bytearray(8)).cast("q")  # [0]: the loop's last proof
+        self._seed = beacon_seed
+        self._pid = self._fd = 0
+        self._size = epochs * len(secrets)  # the list's length
+        self._unstarted = self._size >= SCORER_MIN_SIGNS
+        self._back = [self._size]  # [0]: the loop's last proof
         self._tail = bytearray()  # the loop's proofs, the list's last first, each reversed
+        self._values: dict[int, bytes] = {}  # epoch -> pulse value, until the epoch's draw
 
-    def proofs(self, epoch: int) -> Optional[list[bytes]]:
+    def pulse_value(self, epoch: int) -> bytes:
+        if epoch not in self._values:
+            self._values[epoch] = pulse_value(self._seed, epoch)
+        return self._values[epoch]
+
+    def proofs(self, epoch: int) -> list[bytes]:
         """The epoch's proofs indexed by reporter id; draws come in epoch order."""
         if self._unstarted:
             self._unstarted = False
             self._start(epoch)
-        if not self._size:
-            return None
         start = epoch * len(self._secrets)  # the list index of the epoch's first proof
         end = start + len(self._secrets)
         head = b""  # the epoch's proofs from the front
-        while (have := start + len(head) // SIGNATURE_BYTES) < min(self._back[0], end):
-            if not self._pid:  # no child: sign in draw order
-                head = head[: (have - start) * SIGNATURE_BYTES] + self._sign(have)
+        while (have := start + len(head) // SIGNATURE_BYTES) < (stop := min(self._back[0], end)):
+            if not self._pid:  # no child: sign the rest in draw order
+                head = head[: (have - start) * SIGNATURE_BYTES] + self._sign(have, stop)
                 continue
             try:
-                want = (min(self._back[0], end) - start) * SIGNATURE_BYTES - len(head)
-                data = os.read(self._fd, want)
+                data = os.read(self._fd, (stop - start) * SIGNATURE_BYTES - len(head))
             except BlockingIOError:  # nothing delivered yet: sign the last open proof
                 self._back[0] -= 1
-                self._tail += self._sign(self._back[0])[::-1]
+                self._tail += self._sign(self._back[0], self._back[0] + 1)[::-1]
                 continue
             if not data:
                 self.close()  # the child died first
             head += data
         if self._pid and have >= self._back[0]:
             self.close()  # the ends met
+        del self._values[epoch]
         own = (self._size - end) * SIGNATURE_BYTES  # the epoch's proofs end the tail
         data = head + self._tail[own:][::-1]  # read backwards: in list order again
         del self._tail[own:]
         return [data[i : i + SIGNATURE_BYTES] for i in range(0, len(data), SIGNATURE_BYTES)]
 
-    def _sign(self, index: int) -> bytes:
-        epoch, rid = divmod(index, len(self._secrets))
-        message = sortition_signed_message(self._pulses[epoch], epoch)
-        return self._secrets[rid].sign_unrecorded(message)
+    def _sign(self, first: int, stop: int) -> bytes:
+        """The list's proofs ``first`` to ``stop - 1``, all of one epoch."""
+        epoch, rid = divmod(first, len(self._secrets))
+        message = sortition_signed_message(self.pulse_value(epoch), epoch)
+        return b"".join(s.sign_unrecorded(message) for s in self._secrets[rid : rid + stop - first])
 
     def _start(self, first_epoch: int) -> None:
         if threading.active_count() > 1:
@@ -219,7 +228,7 @@ class _Scorer:
             read_fd, write_fd = os.pipe()
         except OSError:
             return
-        back[0] = len(self._pulses) * len(self._secrets)
+        back[0] = self._size
         try:
             pid = os.fork()
         except OSError:
@@ -231,19 +240,18 @@ class _Scorer:
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as out:
-                    for epoch in range(first_epoch, len(self._pulses)):
-                        todo = back[0] - epoch * len(self._secrets)  # stop at the loop's end
-                        if todo <= 0:
-                            break
-                        message = sortition_signed_message(self._pulses[epoch], epoch)
+                    epoch = first_epoch
+                    while (todo := back[0] - epoch * len(self._secrets)) > 0:  # to the loop's end
+                        message = sortition_signed_message(pulse_value(self._seed, epoch), epoch)
                         out.write(b"".join(s.sign_unrecorded(message) for s in self._secrets[:todo]))
                         out.flush()
+                        epoch += 1
                 status = 0
             finally:
                 os._exit(status)  # never return into the parent's code
         os.close(write_fd)
         os.set_blocking(read_fd, False)
-        self._pid, self._fd, self._back, self._size = pid, read_fd, back, back[0]
+        self._pid, self._fd, self._back = pid, read_fd, back
 
     def close(self) -> None:
         if self._pid:
@@ -256,18 +264,18 @@ class _Scorer:
 class Simulator:
     """Single-threaded event loop owning every protocol state machine.
 
-    A run with at least SCORER_MIN_SIGNS sortition signs makes its VRF
-    proofs ahead, one forked scorer process and the loop signing from the
-    two ends of one list (see ``_Scorer``).  :meth:`epochs` drives the loop
-    and hands on each epoch's record as soon as it is final, dropping the
-    epoch's state; it reaps the scorer when it ends, is closed, or a
-    handler raises.  :meth:`run` drives it to the end and hands each record
-    to a sink, which is how ``vzor run`` writes its files, or collects them;
-    ``verify-trace`` consumes it directly.  Neither command's memory grows
-    with the run.  Governance updates only charge gas and are recorded, so both are
-    done here at construction.  Construction also caps the verdict memo at
-    one epoch's signatures times the epochs that can be open at once: every
-    memo hit re-checks a signature of an epoch that is still open.
+    It holds only open epochs: each pulse, its truth value and its pulse
+    event are made as the clock reaches them.  :meth:`epochs` drives the
+    loop and hands on each epoch's record as soon as it is final, dropping
+    the epoch's state; it reaps the VRF scorer (``_Scorer``) when it ends,
+    is closed, or a handler raises.  :meth:`run` drives it to the end and
+    hands each record to a sink, which is how ``vzor run`` writes its files,
+    or collects them; ``verify-trace`` consumes it directly.  A forked
+    scorer still grows with the run: the proofs its loop signs from the
+    list's end wait for their draws (8.7 MB at 14,400 epochs, 2-vCPU VM).
+    Governance updates only charge gas and are recorded, so both are done
+    at construction, which also caps the verdict memo at the signatures of
+    the epochs open at once: every memo hit re-checks one of them.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -282,11 +290,9 @@ class Simulator:
             for rid in range(config.registry_size)
         ]
 
-        beacon_seed = tagged_digest(_BEACON_SEED_TAG, be_u64(config.seed))
-        self.pulses = make_chain(BeaconParams(seed=beacon_seed), config.epochs)
-        self._scorer = _Scorer(
-            self.secrets, self.pulses, fork=config.epochs * config.registry_size >= SCORER_MIN_SIGNS
-        )
+        self._beacon = BeaconParams(seed=tagged_digest(_BEACON_SEED_TAG, be_u64(config.seed)))
+        self._pulse: Optional[Pulse] = None  # the last pulse made
+        self._scorer = _Scorer(self.secrets, self._beacon.seed, config.epochs)
 
         self._rng_walk = _stream(config.seed, "walk")
         self._rng_noise = _stream(config.seed, "noise")
@@ -295,34 +301,24 @@ class Simulator:
         }
         self._rng_watcher = _stream(config.seed, "delay/watcher")
 
-        self.truth = self._truth_series()
+        self._truth = config.value_base  # the walk's last value
         self.controlled = config.controlled_ids()
         # hub state advances on the fastest connected chain's block cadence
         self.hub_tick_ms = min(c.config.block_time_ms for c in self.chains)
 
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        # pulse 0; each pulse queues the next under sequence number 0, so it fires first at its ms
+        self._heap: list[_Event] = [(0, 0, self._on_pulse, (0,))]
         self._seq = 0
         self._now = 0
         self._states: dict[int, _EpochState] = {}
-        self._pending = [0] * config.epochs  # queued events of each epoch
+        self._pending = {0: 1}  # queued events of each open epoch
         self._initial_total, self._burned = self.hub.snapshot()
-
-        for epoch in range(config.epochs):
-            self._push(self._t0(epoch), self._on_pulse, epoch)
         self.governance_records = governance_records(self.hub, config.epochs)
         for chain in self.chains:
             for _ in self.governance_records:
                 chain.charge(OP_GOVERNANCE)
 
     # -- setup helpers ----------------------------------------------------------
-
-    def _truth_series(self) -> list[int]:
-        cfg = self.config
-        series = [cfg.value_base]
-        for _ in range(1, cfg.epochs):
-            step = self._rng_walk.randint(-cfg.value_walk_max, cfg.value_walk_max)
-            series.append(self._clamp(series[-1] + step))
-        return series
 
     def _clamp(self, value: int) -> int:
         return max(self.config.value_min, min(self.config.value_max, value))
@@ -353,7 +349,8 @@ class Simulator:
                 self._now, _, handler, args = heapq.heappop(heap)
                 handler(*args)
                 pending[args[0]] -= 1
-                while final < len(pending) and not pending[final]:
+                while pending.get(final) == 0:
+                    del pending[final]
                     yield self._record(final)
                     final += 1
         finally:
@@ -381,7 +378,14 @@ class Simulator:
         )
 
     def _on_pulse(self, epoch: int) -> None:
-        self._states[epoch] = _EpochState(pulse=self.pulses[epoch])
+        self._pulse = next_pulse(self._beacon, self._pulse, self._scorer.pulse_value(epoch))
+        if epoch:
+            walk = self.config.value_walk_max
+            self._truth = self._clamp(self._truth + self._rng_walk.randint(-walk, walk))
+        self._states[epoch] = _EpochState(pulse=self._pulse, truth=self._truth)
+        if epoch + 1 < self.config.epochs:
+            self._pending[epoch + 1] = 1
+            heapq.heappush(self._heap, (self._t0(epoch + 1), 0, self._on_pulse, (epoch + 1,)))
         self._push(self._now, self._on_committee_draw, epoch)
 
     def _on_committee_draw(self, epoch: int) -> None:
@@ -401,7 +405,7 @@ class Simulator:
                 value = self.config.value_max
             else:
                 noise = self._rng_noise.randint(-self.config.noise_max, self.config.noise_max)
-                value = self._clamp(self.truth[epoch] + noise)
+                value = self._clamp(state.truth + noise)
             state.observations.append(sign_observation(self.secrets[rid], value, epoch, state.agg))
         # observations close at the delta_net_max deadline; proving takes t_prove
         built = self._t0(epoch) + self.config.delta_net_max_ms + self.config.t_prove_ms

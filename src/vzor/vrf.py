@@ -129,9 +129,9 @@ def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
     return domain_message(_VRF_SIGN_TAG, input_bytes), tagged_digest(_VRF_INPUT_TAG, input_bytes)
 
 
-def sortition_signed_message(pulse: Pulse, epoch: int) -> bytes:
-    """The signed message of :func:`sortition_message`, without its digest."""
-    return domain_message(_VRF_SIGN_TAG, sortition_input(pulse.value, epoch))
+def sortition_signed_message(pulse_value: bytes, epoch: int) -> bytes:
+    """The signed message of :func:`sortition_message`, from the pulse's value."""
+    return domain_message(_VRF_SIGN_TAG, sortition_input(pulse_value, epoch))
 
 
 def evaluate_registry(

@@ -7,6 +7,8 @@ from vzor.beacon import (
     BeaconParams,
     joint_entropy_lower_bound,
     make_chain,
+    next_pulse,
+    pulse_value,
     verify_chain,
 )
 from vzor.encoding import ZERO_DIGEST
@@ -81,8 +83,9 @@ def test_foreign_seed_rejected_only_with_params():
 
 
 def test_next_pulse_extends_verifiably():
-    chain = make_chain(PARAMS, 4)
-    assert chain[:3] == make_chain(PARAMS, 3)
+    chain = make_chain(PARAMS, 3)
+    chain.append(next_pulse(PARAMS, chain[-1], pulse_value(PARAMS.seed, 3)))
+    assert chain == make_chain(PARAMS, 4)
     assert verify_chain(chain, PARAMS)
 
 

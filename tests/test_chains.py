@@ -81,27 +81,27 @@ def test_submit_accepts_and_records(make_packet, agg_params):
     assert receipt.gas_used == 296_112
     assert receipt.block == 2  # arrival at 30 s, 15 s blocks
     assert receipt.final_ms == 30_000 + 15_000
-    assert chain.recorded == {1: receipt}
     assert chain.gas_by_op == {OP_VERIFY: 296_112}
 
 
-def test_duplicate_submission_is_idempotent(make_packet, agg_params):
+def test_second_submission_is_verified_and_charged_again(make_packet, agg_params):
     chain = Chain(config=sepolia())
     first, _ = _submit(chain, make_packet, agg_params, now_ms=30_000)
-    again, _ = _submit(chain, make_packet, agg_params, now_ms=45_000)
-    assert again is first  # original receipt, original timestamps
-    assert chain.gas_by_op[OP_VERIFY] == 296_112  # replay burns no extra gas
+    again, _ = _submit(chain, make_packet, agg_params, now_ms=45_001)
+    assert first.accepted and again.accepted
+    assert (first.block, first.final_ms) == (2, 45_000)
+    assert (again.block, again.final_ms) == (4, 60_001)  # its own arrival's block and finality
+    assert chain.gas_by_op[OP_VERIFY] == 2 * 296_112
 
 
 def test_rejection_emits_fraud_event(make_packet, agg_params):
     # the rejected receipt is the fraud event a watcher relays to the hub;
-    # the chain charges for it but records nothing
+    # the chain charges for it
     chain = Chain(config=scroll())
     receipt, _ = _submit(chain, make_packet, agg_params, mutation="median")
     assert not receipt.accepted
     assert receipt.reason == "WrongMedian"
     assert receipt.final_ms == 30_000 + 2_000
-    assert chain.recorded == {}
     assert chain.gas_by_op == {OP_VERIFY: 88_029}
 
 
@@ -110,7 +110,6 @@ def test_rejection_then_honest_resubmission(make_packet, agg_params):
     _submit(chain, make_packet, agg_params, mutation="median")
     receipt, _ = _submit(chain, make_packet, agg_params, now_ms=32_000)
     assert receipt.accepted
-    assert chain.recorded == {1: receipt}
     assert chain.gas_by_op == {OP_VERIFY: 2 * 88_029}  # both submissions verified
 
 

@@ -3,7 +3,8 @@
 Counts repeat exactly for a fixed scenario, so a change that adds crypto
 work, digests or events shows here as a changed number, not as noise in
 a wall-clock benchmark.  Each figure covers one whole `netsim.run`:
-setup (key generation, beacon, truth series) and the event loop.
+setup (key generation) and the event loop, which makes each pulse and
+truth value as the clock reaches it.
 """
 
 import functools

@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
+from vzor import netsim, sig
 from vzor.chains import OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
 from vzor.netsim import (
     Simulator,
@@ -259,3 +261,64 @@ def test_gas_totals_cover_verify_on_every_chain():
     gas = {(chain, op): total for chain, op, total in trace.gas_totals}
     assert gas[("sepolia", OP_VERIFY)] == 12 * 296_112
     assert gas[("scroll", OP_VERIFY)] == 12 * 88_029
+
+
+# 5 reporters drawn 3 at a time, reported to one chain: an epoch is cheap
+SMALL = ScenarioConfig(seed=7, registry_size=5, committee_size=3, quorum=2, chains=("scroll",))
+
+
+def test_no_event_fires_at_a_pulse_ms_before_that_pulse(monkeypatch):
+    # pulses 1 ms apart: epoch e's build lands on pulse e + 2,830's ms
+    config = dataclasses.replace(SMALL, epochs=2_900, epoch_interval_s=0.001)
+    assert config.delta_net_max_ms + config.t_prove_ms == 2_830
+    pulsed, early = [], []
+
+    def watch(name, fn):
+        def wrapper(self, epoch, *args):
+            if name == "_on_pulse":
+                pulsed.append(epoch)
+            elif self._now < config.epochs and len(pulsed) <= self._now:
+                early.append((name, epoch, self._now))
+            return fn(self, epoch, *args)
+
+        return wrapper
+
+    for name, fn in list(vars(Simulator).items()):
+        if name.startswith("_on_"):
+            monkeypatch.setattr(Simulator, name, watch(name, fn))
+    trace = run(config)
+    assert pulsed == list(range(config.epochs))
+    assert sum(record.packet_bytes is not None for record in trace.records) == config.epochs
+    assert early == []
+
+
+def _traced_peak(build, config):
+    """The traced peak of ``build(config)``, the verdict memo empty at its start."""
+    sig.reset()
+    tracemalloc.start()
+    try:
+        build(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sig.reset()
+
+
+def test_construction_does_not_follow_the_epoch_count():
+    assert _traced_peak(Simulator, ScenarioConfig(epochs=100_000)) < 2**20
+
+
+def test_run_memory_does_not_follow_the_epoch_count(monkeypatch):
+    # scored in-process: a forked scorer's loop keeps each proof it signs from
+    # the list's end until that epoch's draw, and how many it signs depends on
+    # how fast the child runs, which tracing slows
+    monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 1_920 * SMALL.registry_size + 1)
+
+    def null_sink_run(config):
+        Simulator(config).run(lambda record: None)
+
+    peaks = [
+        _traced_peak(null_sink_run, dataclasses.replace(SMALL, epochs=epochs))
+        for epochs in (480, 1_920)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 2**19
