@@ -14,11 +14,10 @@ config values are converted through Decimal to avoid float dust.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from itertools import takewhile
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     AlreadyRegistered,
@@ -172,7 +171,8 @@ def collusion_bound(lam: float, total_honest_stake: float, kappa: int, epochs: i
 
 
 class Hub:
-    """Single-owner hub state machine: ledger, governance, adjudications."""
+    """Single-owner hub state machine: ledger, governance, adjudications.  Its
+    governance timeline is rebuilt only at the first read after a proposal."""
 
     def __init__(
         self,
@@ -189,6 +189,7 @@ class Hub:
         self.governance_delay = governance_delay
         self.ledger = StakeLedger()
         self.updates: list[GovernanceUpdate] = []  # by effective epoch, ties in proposal order
+        self._timeline: Optional[list[GovernedParams]] = None  # dropped by each proposal
         self._reports: dict[bytes, SlashReport] = {}
 
     # -- registration --------------------------------------------------------
@@ -209,20 +210,20 @@ class Hub:
             effective_epoch=at_epoch + self.governance_delay,
         )
         insort(self.updates, update, key=lambda u: u.effective_epoch)
+        self._timeline = None
         return update
 
-    def timeline(self) -> Iterator[tuple[int, GovernedParams]]:
-        """(effective epoch, parameters once it applies) for each update, in the
-        order they apply: by effective epoch, later proposals winning ties."""
-        params = self.genesis
-        for update in self.updates:
-            params = params.with_update(update.parameter, update.value)
-            yield update.effective_epoch, params
+    def timeline(self) -> list[GovernedParams]:
+        """The parameters in force at genesis, then after each of ``updates``."""
+        if self._timeline is None:
+            self._timeline = steps = [self.genesis]
+            for update in self.updates:
+                steps.append(steps[-1].with_update(update.parameter, update.value))
+        return self._timeline
 
     def effective_params(self, epoch: int) -> GovernedParams:
-        """Parameters in force at ``epoch``: the last step of :meth:`timeline` by then."""
-        steps = list(takewhile(lambda step: step[0] <= epoch, self.timeline()))
-        return steps[-1][1] if steps else self.genesis
+        """Parameters in force at ``epoch``: the timeline after its updates due by then."""
+        return self.timeline()[bisect_right(self.updates, epoch, key=lambda u: u.effective_epoch)]
 
     # -- adjudication ----------------------------------------------------------
 

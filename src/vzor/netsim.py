@@ -77,17 +77,6 @@ def reporter_key_seed(run_seed: int, reporter_id: int) -> bytes:
     return tagged_digest(_KEYSEED_TAG, be_u64(run_seed), be_u64(reporter_id))
 
 
-def governed_hub(config: ScenarioConfig) -> Hub:
-    """The hub at genesis: every reporter staked, every governance
-    proposal scheduled."""
-    hub = Hub(genesis=config.genesis_governed(), governance_delay=config.governance_delay_epochs)
-    for rid in range(config.registry_size):
-        hub.register(rid, config.initial_stake_wei, at_epoch=0)
-    for item in config.governance:
-        hub.propose_update(item.parameter, item.value, item.at_epoch)
-    return hub
-
-
 def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceUpdate, ...]:
     """The hub's updates that take effect within ``epochs``, in the order they do."""
     return tuple(u for u in hub.updates if u.effective_epoch < epochs)
@@ -284,7 +273,7 @@ class Simulator:
         open_epochs = min(config.epochs, latency_bound_ms(config) // config.epoch_interval_ms + 2)
         sig.cap_memo((config.registry_size + config.committee_size) * open_epochs)
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
-        self.hub = governed_hub(config)
+        self.hub = config.governed_hub()
         self.secrets: list[ReporterSecret] = [
             ReporterSecret(rid, reporter_key_seed(config.seed, rid))
             for rid in range(config.registry_size)

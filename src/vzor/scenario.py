@@ -89,6 +89,15 @@ class ScenarioConfig:
             s_min=self.min_stake_wei,
         )
 
+    def governed_hub(self) -> Hub:
+        """The hub a run starts from: every reporter staked, every proposal made."""
+        hub = Hub(genesis=self.genesis_governed(), governance_delay=self.governance_delay_epochs)
+        for rid in range(self.registry_size):
+            hub.register(rid, self.initial_stake_wei, at_epoch=0)
+        for item in self.governance:
+            hub.propose_update(item.parameter, item.value, item.at_epoch)
+        return hub
+
     def aggregation_params(self, governed: GovernedParams) -> AggregationParams:
         return AggregationParams(
             quorum=governed.f_min,
@@ -145,8 +154,6 @@ class ScenarioConfig:
             raise InvalidScenario("initial stake below registration minimum")
         if self.governance_delay_epochs < 0:
             raise InvalidScenario("governance delay cannot be negative")
-        # check the bounds on the hub's own timeline, once each epoch's updates all apply
-        hub = Hub(self.genesis_governed(), self.governance_delay_epochs)
         for item in self.governance:
             if item.parameter not in GOVERNED_PARAMETERS:
                 raise InvalidScenario(f"{item.parameter!r} is not governed")
@@ -154,10 +161,12 @@ class ScenarioConfig:
                 raise InvalidScenario("governance proposals need a non-negative epoch")
             if item.value < 1:
                 raise InvalidScenario("governed values must be positive")
-            hub.propose_update(item.parameter, item.value, item.at_epoch)
-        for effective_epoch, governed in dict(hub.timeline()).items():
+        # check the bounds on the run's own hub, once each epoch's updates all apply
+        hub = self.governed_hub()
+        for update in hub.updates:
+            governed = hub.effective_params(update.effective_epoch)
             if not 1 <= governed.f_min <= governed.n <= self.registry_size:
-                at_epoch = effective_epoch - hub.governance_delay
+                at_epoch = update.effective_epoch - hub.governance_delay
                 raise InvalidScenario(
                     f"governance at epoch {at_epoch} breaks quorum/committee bounds"
                 )

@@ -53,7 +53,7 @@ def ms_to_s_text(ms: int) -> str:
 def render_head(config: ScenarioConfig) -> str:
     """The trace's lines before its first epoch block: header, config echo,
     chains, the starting ledger and the governance records."""
-    hub = netsim.governed_hub(config)
+    hub = config.governed_hub()
     total, burned = hub.snapshot()
     lines = [
         TRACE_HEADER,
@@ -271,7 +271,7 @@ def _verdict_problems(config: ScenarioConfig, epoch: int, block: list[str]) -> l
         rid_text, pk_hex = item.split(":", 1)
         members.append(ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)))
     packet = OraclePacket.from_bytes(bytes.fromhex(body["packet"]))
-    governed = netsim.governed_hub(config).effective_params(epoch)
+    governed = config.governed_hub().effective_params(epoch)
     result = verify(packet, Committee(epoch, tuple(members)), config.aggregation_params(governed))
     problems = []
     for receipt in (_fields(x, "receipt ") for x in block if x.startswith("receipt ")):

@@ -7,6 +7,7 @@ setup (key generation) and the event loop, which makes each pulse and
 truth value as the clock reaches it.
 """
 
+import dataclasses
 import functools
 import os
 import sys
@@ -14,7 +15,8 @@ import sys
 import pytest
 
 from vzor import encoding, netsim, sig
-from vzor.scenario import ScenarioConfig
+from vzor.hub import GovernedParams
+from vzor.scenario import GovernanceItem, ScenarioConfig
 from vzor.trace import render_trace, verify_trace_text
 
 HONEST = ScenarioConfig(seed=3, epochs=6)
@@ -118,3 +120,25 @@ def test_forked_scorer_gives_the_pinned_counts_and_trace(name, config, monkeypat
     assert text == in_process
     assert verify_trace_text(text).exit_code == 0
     assert len(forks) == 3  # the second run and the replay fork one scorer each
+
+
+# 30 slash-cut updates, two at each of epochs 0-14: ties and a change mid-run
+SCHEDULE = tuple(GovernanceItem("s_cut", (16 + i) * 10**16, i // 2) for i in range(30))
+
+
+@pytest.mark.parametrize("epochs", [24, 48])
+def test_governance_schedule_is_applied_once_per_hub(epochs, monkeypatch):
+    # a run applies each update once in validate's hub and once in the
+    # simulator's; verify-trace adds its own validate, while the trace
+    # head's hub is never read.  Neither count follows the epoch count
+    config = dataclasses.replace(HONEST, epochs=epochs, governance=SCHEDULE)
+    calls = []
+    with_update = GovernedParams.with_update
+    monkeypatch.setattr(
+        GovernedParams, "with_update", lambda *args: calls.append(1) or with_update(*args)
+    )
+    text = render_trace(netsim.run(config))
+    assert len(calls) == 2 * len(SCHEDULE)
+    calls.clear()
+    assert verify_trace_text(text).exit_code == 0
+    assert len(calls) == 3 * len(SCHEDULE)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vzor.errors import (
     AlreadyRegistered,
@@ -189,10 +191,41 @@ def test_updates_apply_by_effective_epoch_not_proposal_order():
     hub.propose_update("f_min", 11, at_epoch=1)
     hub.propose_update("n", 20, at_epoch=4)
     assert [u.effective_epoch for u in hub.updates] == [3, 6, 6]
-    steps = [(at, params.f_min, params.n) for at, params in hub.timeline()]
-    assert steps == [(3, 11, 15), (6, 13, 15), (6, 13, 20)]
+    steps = [(params.f_min, params.n) for params in hub.timeline()]
+    assert steps == [(10, 15), (11, 15), (13, 15), (13, 20)]
     assert hub.effective_params(5).f_min == 11
     assert (hub.effective_params(6).f_min, hub.effective_params(6).n) == (13, 20)
+
+
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(GOVERNED_PARAMETERS), st.integers(1, 40), st.integers(0, 6)
+            ),
+            st.integers(0, 12),
+        ),
+        max_size=24,
+    ),
+    delay=st.integers(0, 3),
+)
+def test_effective_params_fold_the_updates_due(steps, delay):
+    # proposals (parameter, value, epoch) out of order and tied at one
+    # effective epoch, interleaved with reads (an epoch); every read must see
+    # each update proposed before it, however many reads came before
+    hub = Hub(governance_delay=delay)
+    proposed = []  # (effective epoch, proposal order, parameter, value)
+    for step in steps:
+        if isinstance(step, tuple):
+            parameter, value, at_epoch = step
+            hub.propose_update(parameter, value, at_epoch)
+            proposed.append((at_epoch + delay, len(proposed), parameter, value))
+            continue
+        expected = hub.genesis
+        for effective_epoch, _, parameter, value in sorted(proposed):
+            if effective_epoch <= step:
+                expected = expected.with_update(parameter, value)
+        assert hub.effective_params(step) == expected
 
 
 def test_independent_parameters_compose():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from vzor.errors import ConfigError, InvalidScenario
 from vzor.hub import Hub
-from vzor.netsim import governed_hub
 from vzor.scenario import (
     BEHAVIORS,
     GovernanceItem,
@@ -165,7 +164,7 @@ def test_same_epoch_updates_are_checked_together(governance):
     # checked once the epoch's updates are all in, not after each one
     config = dataclasses.replace(ScenarioConfig(), governance=governance)
     config.validate()
-    params = governed_hub(config).effective_params(5)
+    params = config.governed_hub().effective_params(5)
     assert (params.f_min, params.n) == (8, 9)
 
 

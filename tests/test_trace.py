@@ -17,6 +17,7 @@ from vzor.trace import (
     TRACE_HEADER,
     ms_to_s_text,
     parse_trace,
+    render_block,
     render_csv,
     render_head,
     render_trace,
@@ -244,6 +245,42 @@ def test_verify_accepts_fraud_trace(fraud_trace):
 
 
 # -- outcome mismatches (exit 4) ----------------------------------------------------------
+
+
+def test_governed_cut_slashes_from_its_effective_epoch():
+    # frauds at odd epochs; the cut proposed at epoch 2 is in force from 4 on
+    new_cut = 3 * BASE.slash_cut_wei
+    config = dataclasses.replace(
+        BASE,
+        adversary_behavior="wrong_median_packet",
+        fraud_period=2,
+        governance=(GovernanceItem("s_cut", new_cut, 2),),
+    )
+    run_trace = netsim.run(config)
+    slashes = [
+        (rec.epoch, line)
+        for rec in run_trace.records
+        for line in render_block(rec).split("\n")
+        if line.startswith("slash origin=")
+    ]
+    assert [epoch for epoch, _ in slashes] == [1, 3, 5, 7, 9, 11]
+    for epoch, line in slashes:
+        assert f" cut={new_cut if epoch >= 4 else BASE.slash_cut_wei} " in line
+    assert verify_trace_text(render_trace(run_trace)).exit_code == 0
+
+
+@pytest.mark.parametrize("old, new", [("value=11", "value=12"), ("effective=3", "effective=4")])
+def test_edited_governance_line_exits_4(tmp_path, capsys, fraud_trace, old, new):
+    text = render_trace(fraud_trace)
+    line = text.split("\n").index("governance effective=3 param=f_min value=11") + 1
+    edited = _swap_line(text, "governance effective=", old, new)
+    check = verify_trace_text(edited)
+    assert check.exit_code == 4
+    assert check.problems[0].startswith(f"line {line} diverges from deterministic replay")
+    path = tmp_path / "trace.txt"
+    path.write_text(edited, encoding="utf-8")
+    assert cli.main(["verify-trace", str(path)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_catches_flipped_accept_bit(honest_trace):
