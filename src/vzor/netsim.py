@@ -38,7 +38,7 @@ from .beacon import BeaconParams, Pulse, next_pulse, pulse_value
 from .chains import CHAIN_PRESETS, OP_FRAUD, OP_GOVERNANCE, Chain, Receipt
 from .encoding import be_u64, tagged_digest
 from .errors import QuorumNotMet, RegistryTooSmall
-from .hub import GovernanceUpdate, Hub, accuse_all_signers
+from .hub import GovernanceUpdate, accuse_all_signers
 from .oracle import AggregationParams, SignedObservation, median, sign_observation
 from .packets import OraclePacket, build_packet
 from .scenario import ScenarioConfig
@@ -75,11 +75,6 @@ def _stream(seed: int, label: str) -> random.Random:
 
 def reporter_key_seed(run_seed: int, reporter_id: int) -> bytes:
     return tagged_digest(_KEYSEED_TAG, be_u64(run_seed), be_u64(reporter_id))
-
-
-def governance_records(hub: Hub, epochs: int) -> tuple[GovernanceUpdate, ...]:
-    """The hub's updates that take effect within ``epochs``, in the order they do."""
-    return tuple(u for u in hub.updates if u.effective_epoch < epochs)
 
 
 def latency_bound_ms(config: ScenarioConfig) -> int:
@@ -123,6 +118,7 @@ class RunTrace:
     config: ScenarioConfig
     records: tuple[EpochRecord, ...]
     governance_records: tuple[GovernanceUpdate, ...]
+    initial_total: int
     final_total: int
     final_burned: int
     gas_totals: tuple[tuple[str, str, int], ...]  # (chain_id, op, total), fixed order
@@ -262,18 +258,18 @@ class Simulator:
     or collects them; ``verify-trace`` consumes it directly.  A forked
     scorer still grows with the run: the proofs its loop signs from the
     list's end wait for their draws (8.7 MB at 14,400 epochs, 2-vCPU VM).
-    Governance updates only charge gas and are recorded, so both are done
-    at construction, which also caps the verdict memo at the signatures of
-    the epochs open at once: every memo hit re-checks one of them.
+    Construction keeps the genesis hub that validating the config returns,
+    the run's one hub.  Governance updates only charge gas and are recorded,
+    so both are done then, as is capping the verdict memo at the signatures
+    of the epochs open at once: every memo hit re-checks one of them.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
-        config.validate()
+        self.hub = config.validate()  # first: the lines below read what it checks
         self.config = config
         open_epochs = min(config.epochs, latency_bound_ms(config) // config.epoch_interval_ms + 2)
         sig.cap_memo((config.registry_size + config.committee_size) * open_epochs)
         self.chains: list[Chain] = [Chain(CHAIN_PRESETS[name]()) for name in config.chains]
-        self.hub = config.governed_hub()
         self.secrets: list[ReporterSecret] = [
             ReporterSecret(rid, reporter_key_seed(config.seed, rid))
             for rid in range(config.registry_size)
@@ -301,8 +297,10 @@ class Simulator:
         self._now = 0
         self._states: dict[int, _EpochState] = {}
         self._pending = {0: 1}  # queued events of each open epoch
-        self._initial_total, self._burned = self.hub.snapshot()
-        self.governance_records = governance_records(self.hub, config.epochs)
+        self.initial_total, self._burned = self.hub.snapshot()
+        self.governance_records = tuple(
+            u for u in self.hub.updates if u.effective_epoch < config.epochs
+        )
         for chain in self.chains:
             for _ in self.governance_records:
                 chain.charge(OP_GOVERNANCE)
@@ -357,6 +355,7 @@ class Simulator:
             config=self.config,
             records=tuple(records),
             governance_records=self.governance_records,
+            initial_total=self.initial_total,
             final_total=total,
             final_burned=burned,
             gas_totals=tuple(
@@ -484,7 +483,7 @@ class Simulator:
             e2e_ms=e2e,
             fraud_injected=state.fraud_injected,
             slash=state.slash,
-            ledger_total=self._initial_total - self._burned,
+            ledger_total=self.initial_total - self._burned,
             ledger_burned=self._burned,
         )
 

@@ -20,7 +20,10 @@ from typing import Any, Callable
 
 from .chains import CHAIN_PRESETS
 from .errors import ConfigError, InvalidScenario
-from .hub import GOVERNED_PARAMETERS, GovernedParams, Hub, eth_to_wei, wei_to_eth_text
+from .hub import (
+    DEFAULT_GOVERNANCE_DELAY, DEFAULT_MIN_STAKE, DEFAULT_SLASH_CUT, GOVERNED_PARAMETERS,
+    GovernedParams, Hub, eth_to_wei, wei_to_eth_text,
+)
 from .oracle import AggregationParams
 
 BEHAVIORS = ("honest", "wrong_value", "wrong_median_packet", "withhold")
@@ -54,9 +57,9 @@ class ScenarioConfig:
     adversary_count: int = 0
     fraud_period: int = 60
     initial_stake_wei: int = 32 * 10**18
-    min_stake_wei: int = 10**18
-    slash_cut_wei: int = 15 * 10**16
-    governance_delay_epochs: int = 2
+    min_stake_wei: int = DEFAULT_MIN_STAKE
+    slash_cut_wei: int = DEFAULT_SLASH_CUT
+    governance_delay_epochs: int = DEFAULT_GOVERNANCE_DELAY
     governance: tuple[GovernanceItem, ...] = field(default_factory=tuple)
 
     # -- derived views ---------------------------------------------------------
@@ -89,15 +92,6 @@ class ScenarioConfig:
             s_min=self.min_stake_wei,
         )
 
-    def governed_hub(self) -> Hub:
-        """The hub a run starts from: every reporter staked, every proposal made."""
-        hub = Hub(genesis=self.genesis_governed(), governance_delay=self.governance_delay_epochs)
-        for rid in range(self.registry_size):
-            hub.register(rid, self.initial_stake_wei, at_epoch=0)
-        for item in self.governance:
-            hub.propose_update(item.parameter, item.value, item.at_epoch)
-        return hub
-
     def aggregation_params(self, governed: GovernedParams) -> AggregationParams:
         return AggregationParams(
             quorum=governed.f_min,
@@ -108,8 +102,9 @@ class ScenarioConfig:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Raise InvalidScenario on any cross-field inconsistency."""
+    def validate(self) -> Hub:
+        """The hub a run starts from, every reporter staked and every item
+        proposed; raise InvalidScenario on any cross-field inconsistency."""
         if not 0 <= self.seed < 2**64:
             raise InvalidScenario("seed must fit in 64 bits")
         if self.epochs < 1:
@@ -161,8 +156,12 @@ class ScenarioConfig:
                 raise InvalidScenario("governance proposals need a non-negative epoch")
             if item.value < 1:
                 raise InvalidScenario("governed values must be positive")
-        # check the bounds on the run's own hub, once each epoch's updates all apply
-        hub = self.governed_hub()
+        hub = Hub(genesis=self.genesis_governed(), governance_delay=self.governance_delay_epochs)
+        for rid in range(self.registry_size):
+            hub.register(rid, self.initial_stake_wei, at_epoch=0)
+        for item in self.governance:
+            hub.propose_update(item.parameter, item.value, item.at_epoch)
+        # check the bounds on that hub, once each epoch's updates all apply
         for update in hub.updates:
             governed = hub.effective_params(update.effective_epoch)
             if not 1 <= governed.f_min <= governed.n <= self.registry_size:
@@ -170,6 +169,7 @@ class ScenarioConfig:
                 raise InvalidScenario(
                     f"governance at epoch {at_epoch} breaks quorum/committee bounds"
                 )
+        return hub
 
 
 # -- text format ----------------------------------------------------------------

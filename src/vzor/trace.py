@@ -33,7 +33,7 @@ from . import netsim
 from .errors import TraceCorruption
 from .packets import OraclePacket
 from .proofs import verify
-from .scenario import ScenarioConfig, canonical_text, parse_config
+from .scenario import canonical_text, parse_config
 from .vrf import Committee, ReporterIdentity
 
 TRACE_HEADER = "vzor-trace v1"
@@ -50,24 +50,23 @@ def ms_to_s_text(ms: int) -> str:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_head(config: ScenarioConfig) -> str:
+def render_head(run: Union[netsim.RunTrace, netsim.Simulator]) -> str:
     """The trace's lines before its first epoch block: header, config echo,
-    chains, the starting ledger and the governance records."""
-    hub = config.governed_hub()
-    total, burned = hub.snapshot()
+    chains, the starting ledger and the governance records, read from a
+    simulator or its finished run.  Nothing is burned before epoch 0."""
+    config = run.config
     lines = [
         TRACE_HEADER,
         "[config]",
         canonical_text(config).rstrip("\n"),
         "[/config]",
         f"chains {','.join(config.chains)}",
-        f"ledger start total={total} burned={burned}",
+        f"ledger start total={run.initial_total} burned=0",
     ]
-    for record in netsim.governance_records(hub, config.epochs):
-        lines.append(
-            f"governance effective={record.effective_epoch} "
-            f"param={record.parameter} value={record.value}"
-        )
+    lines += (
+        f"governance effective={u.effective_epoch} param={u.parameter} value={u.value}"
+        for u in run.governance_records
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -113,15 +112,15 @@ def render_trace(
     """A run's trace: its head, one block per epoch, then the end marker.
 
     A finished :class:`netsim.RunTrace` gives its text.  A
-    :class:`netsim.Simulator` is run, and its trace written to ``out`` as it
-    goes: each epoch's block as the epoch closes, after which the record goes
-    on to ``sink``.  Its :class:`netsim.RunTrace`, which keeps no records, is
+    :class:`netsim.Simulator` writes its head to ``out``, then is run: each
+    epoch's block is written as the epoch closes, and the record goes on to
+    ``sink``.  Its :class:`netsim.RunTrace`, which keeps no records, is
     returned.  ``vzor run`` streams this way so that ``bench/tracer.py``,
     which times ``render_trace`` and ``Simulator.run`` by name, sees it.
     """
     if isinstance(run, netsim.RunTrace):
-        return render_head(run.config) + "".join(map(render_block, run.records)) + TRACE_END
-    out.write(render_head(run.config))
+        return render_head(run) + "".join(map(render_block, run.records)) + TRACE_END
+    out.write(render_head(run))
 
     def write(record: netsim.EpochRecord) -> None:
         out.write(render_block(record))
@@ -259,10 +258,10 @@ def _fields(line: str, prefix: str) -> dict[str, str]:
     return out
 
 
-def _verdict_problems(config: ScenarioConfig, epoch: int, block: list[str]) -> list[str]:
+def _verdict_problems(sim: netsim.Simulator, epoch: int, block: list[str]) -> list[str]:
     """The recorded receipts whose verdict is not the one the recorded packet
-    gets under the recorded committee.  Only those lines are decoded; one
-    that cannot be raises ValueError or KeyError."""
+    gets under the recorded committee and the replay's parameters at ``epoch``.
+    Only those lines are decoded; one that cannot be raises ValueError or KeyError."""
     body = dict(line.partition(" ")[::2] for line in block)  # kind -> its (last) line's body
     if "none" in (body.get("committee", "none"), body.get("packet", "none")):
         return []
@@ -271,8 +270,8 @@ def _verdict_problems(config: ScenarioConfig, epoch: int, block: list[str]) -> l
         rid_text, pk_hex = item.split(":", 1)
         members.append(ReporterIdentity(int(rid_text), bytes.fromhex(pk_hex)))
     packet = OraclePacket.from_bytes(bytes.fromhex(body["packet"]))
-    governed = config.governed_hub().effective_params(epoch)
-    result = verify(packet, Committee(epoch, tuple(members)), config.aggregation_params(governed))
+    agg = sim.config.aggregation_params(sim.hub.effective_params(epoch))
+    result = verify(packet, Committee(epoch, tuple(members)), agg)
     problems = []
     for receipt in (_fields(x, "receipt ") for x in block if x.startswith("receipt ")):
         chain, accepted = receipt["chain"], receipt["accepted"] == "1"
@@ -296,13 +295,13 @@ def _first_difference(recorded: str, replayed: str) -> tuple[int, Optional[str],
 
 
 def _block_problems(
-    config: ScenarioConfig, epoch: int, recorded: str, replayed: str
+    sim: netsim.Simulator, epoch: int, recorded: str, replayed: str
 ) -> tuple[str, ...]:
     """Why epoch ``epoch``'s recorded block is not the replay's: its packet's
     verdict is not its receipts', or the lines that say so cannot be read,
     or else its first diverging line, by kind and field."""
     try:
-        problems = _verdict_problems(config, epoch, recorded.split("\n")[1:-2])
+        problems = _verdict_problems(sim, epoch, recorded.split("\n")[1:-2])
     except (ValueError, KeyError) as exc:
         return (f"epoch {epoch}: unreadable record: {exc}",)
     if problems:
@@ -330,12 +329,14 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
     replay of its embedded config, epoch by epoch.
 
     A string is read as ``io.StringIO``, so both take one path, in two
-    passes over the lines.  The first is :func:`parse_trace`: damage is
+    passes over the lines.  The first is :func:`parse_trace`, after which
+    the embedded config builds the replay's :class:`netsim.Simulator`, which
+    validates it: damage, or a config that does not parse or validate, is
     corruption, found before anything is replayed.  The head (config echo,
     chains, starting ledger, governance) must be what :func:`render_head`
-    makes of the config; a difference is reported by line number and
+    makes of that simulator; a difference is reported by line number and
     nothing is replayed.  The second pass starts over and reads one block
-    at a time as the replay's :meth:`netsim.Simulator.epochs` hands on each
+    at a time as the simulator's :meth:`netsim.Simulator.epochs` hands on each
     epoch; the recorded block must render to the same bytes, and a file
     cut short or grown by a block since the first pass is corruption.  The replay's chains
     verified exactly those packets against exactly those committees, and
@@ -350,19 +351,18 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
     source = io.StringIO(text) if isinstance(text, str) else text
     try:
         parsed = parse_trace(source)
-        config = parse_config(parsed.config_text)
-        config.validate()
+        sim = netsim.Simulator(parse_config(parsed.config_text))
     except Exception as exc:
         return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
 
     seen = list(parsed.epochs)
-    if len(seen) != config.epochs or seen != list(range(config.epochs)):
+    if len(seen) != sim.config.epochs or seen != list(range(sim.config.epochs)):
         problem = (
             f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
-            f"but config says 0..{config.epochs - 1}"
+            f"but config says 0..{sim.config.epochs - 1}"
         )
         return TraceCheck(exit_code=4, problems=(problem,))
-    head = render_head(config)
+    head = render_head(sim)
     if parsed.head != head:
         k, a, b = _first_difference(parsed.head, head)
         problem = f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
@@ -370,7 +370,7 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
 
     source.seek(0)
     blocks = _blocks(itertools.islice(source, head.count("\n"), None))
-    replay = netsim.Simulator(config).epochs()
+    replay = sim.epochs()
     compared = 0
     try:
         for epoch, recorded, record in zip(seen, blocks, replay):
@@ -378,7 +378,7 @@ def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
             replayed = render_block(record)
             if recorded != replayed:
                 return TraceCheck(
-                    exit_code=4, problems=_block_problems(config, epoch, recorded, replayed)
+                    exit_code=4, problems=_block_problems(sim, epoch, recorded, replayed)
                 )
     finally:
         replay.close()

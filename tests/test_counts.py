@@ -14,9 +14,9 @@ import sys
 
 import pytest
 
-from vzor import encoding, netsim, sig
-from vzor.hub import GovernedParams
-from vzor.scenario import GovernanceItem, ScenarioConfig
+from vzor import cli, encoding, netsim, sig
+from vzor.hub import GovernedParams, Hub
+from vzor.scenario import GovernanceItem, ScenarioConfig, canonical_text
 from vzor.trace import render_trace, verify_trace_text
 
 HONEST = ScenarioConfig(seed=3, epochs=6)
@@ -128,9 +128,9 @@ SCHEDULE = tuple(GovernanceItem("s_cut", (16 + i) * 10**16, i // 2) for i in ran
 
 @pytest.mark.parametrize("epochs", [24, 48])
 def test_governance_schedule_is_applied_once_per_hub(epochs, monkeypatch):
-    # a run applies each update once in validate's hub and once in the
-    # simulator's; verify-trace adds its own validate, while the trace
-    # head's hub is never read.  Neither count follows the epoch count
+    # a run and verify-trace each build one hub, validate's, which the
+    # simulator keeps, and apply each update there once; neither count
+    # follows the epoch count
     config = dataclasses.replace(HONEST, epochs=epochs, governance=SCHEDULE)
     calls = []
     with_update = GovernedParams.with_update
@@ -138,7 +138,26 @@ def test_governance_schedule_is_applied_once_per_hub(epochs, monkeypatch):
         GovernedParams, "with_update", lambda *args: calls.append(1) or with_update(*args)
     )
     text = render_trace(netsim.run(config))
-    assert len(calls) == 2 * len(SCHEDULE)
+    assert len(calls) == len(SCHEDULE)
     calls.clear()
     assert verify_trace_text(text).exit_code == 0
-    assert len(calls) == 3 * len(SCHEDULE)
+    assert len(calls) == len(SCHEDULE)
+
+
+def test_each_command_builds_one_hub_per_run(tmp_path, monkeypatch):
+    # run, verify-trace and each sweep value: the hub validate returns is
+    # the one the simulator runs and the trace head reads
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(canonical_text(dataclasses.replace(HONEST, governance=SCHEDULE)))
+    hubs = []
+    init = Hub.__init__
+    monkeypatch.setattr(Hub, "__init__", lambda *a, **kw: hubs.append(1) or init(*a, **kw))
+    for argv, built in [
+        (["run", "--config", str(scenario), "--out", str(tmp_path / "run")], 1),
+        (["verify-trace", str(tmp_path / "run" / "trace.txt")], 1),
+        (["sweep", "--config", str(scenario), "--param", "n", "--values", "12,15",
+          "--out", str(tmp_path / "sweep")], 2),
+    ]:
+        hubs.clear()
+        assert cli.main(argv) == 0
+        assert len(hubs) == built, argv[0]

@@ -56,7 +56,7 @@ def test_honest_run_lifecycle():
         assert record.t0_ms == record.epoch * 30_000
     assert trace.final_burned == 0
     initial_total = trace.config.registry_size * trace.config.initial_stake_wei
-    assert trace.final_total == initial_total == 50 * 32 * 10**18
+    assert trace.initial_total == trace.final_total == initial_total == 50 * 32 * 10**18
 
 
 @pytest.mark.parametrize(

@@ -163,8 +163,7 @@ def test_same_epoch_updates_are_checked_together(governance):
     # both orders give f_min = 8, n = 9 from epoch 5 on; the bounds are
     # checked once the epoch's updates are all in, not after each one
     config = dataclasses.replace(ScenarioConfig(), governance=governance)
-    config.validate()
-    params = config.governed_hub().effective_params(5)
+    params = config.validate().effective_params(5)
     assert (params.f_min, params.n) == (8, 9)
 
 

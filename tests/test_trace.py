@@ -85,7 +85,7 @@ def test_parse_round_trip(fraud_trace):
     blocks = trace_mod._blocks(itertools.islice(lines, parsed.head.count("\n"), None))
     assert parsed.head + "".join(blocks) + "[end]\n" == text
     assert parsed.config_text == canonical_text(fraud_trace.config)
-    assert parsed.head == render_head(fraud_trace.config)
+    assert parsed.head == render_head(fraud_trace)
     assert list(parsed.epochs) == list(range(12))
     assert parsed.head.count("\ngovernance effective=") == 1
 
@@ -190,8 +190,19 @@ def test_verify_exits_2_on_missing_file(tmp_path):
 
 def test_verify_exits_2_on_tampered_config(honest_trace):
     # config keys are validated before replay
-    text = _swap_line(render_trace(honest_trace), "registry_size", "registry_size", "registry_sise")
+    trace_text = render_trace(honest_trace)
+    text = _swap_line(trace_text, "registry_size", "registry_size", "registry_sise")
     assert verify_trace_text(text).exit_code == 2
+    # so is a config that parses but fails validation, with validate's message
+    for old, new, message in [
+        ("quorum = 10", "quorum = 16", "need 1 <= quorum (16) <= committee (15) <= registry (50)"),
+        ("seed = 7", "seed = -7", "seed must fit in 64 bits"),
+        ("governance = ", "governance = n:99@0",
+         "governance at epoch 0 breaks quorum/committee bounds"),
+    ]:
+        text = _swap_line(trace_text, old, old, new)
+        check = verify_trace_text(text)
+        assert (check.exit_code, check.problems) == (2, (f"corrupt trace: {message}",))
 
 
 class _RewrittenBetweenPasses(io.StringIO):
@@ -242,6 +253,16 @@ def test_verify_accepts_honest_trace(honest_trace):
 
 def test_verify_accepts_fraud_trace(fraud_trace):
     assert verify_trace_text(render_trace(fraud_trace)).exit_code == 0
+
+
+def test_verdict_is_checked_under_the_epochs_governed_params(fraud_trace):
+    # f_min:11@1 is in force from epoch 3, and epoch 5's packet commits to
+    # quorum 11: re-verified under genesis parameters it would not match
+    head, start, rest = render_trace(fraud_trace).partition("[epoch 5]\n")
+    rest = rest.replace("receipt chain=sepolia accepted=1", "receipt chain=sepolia accepted=0", 1)
+    check = verify_trace_text(head + start + rest)
+    assert check.exit_code == 4
+    assert check.problems == ("epoch 5: chain sepolia recorded accepted=0 but replay says ok",)
 
 
 # -- outcome mismatches (exit 4) ----------------------------------------------------------
