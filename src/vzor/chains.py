@@ -2,10 +2,11 @@
 
 Each chain runs the packet verifier at a fixed, size-independent gas
 cost taken from a per-chain lookup table and returns each verdict as a
-receipt.  Gas is a table model, not metered execution:
-each operation kind costs a constant regardless of packet contents or
-committee size.  A rejection is only reported in its receipt; watchers
-relay it to the hub.
+receipt.  A packet has one verdict: the first chain checks it, the others
+read the verdict it stored (see :func:`vzor.proofs.verify`), and every
+chain charges its own gas.  Gas is a table model, not metered execution:
+each operation kind costs a constant whatever the packet or committee.
+A rejection is only reported in its receipt; watchers relay it to the hub.
 
 Time is integer simulated milliseconds throughout.  Blocks are not
 produced one by one; only the inclusion and finality rule is modelled.
@@ -134,17 +135,13 @@ class Chain:
         return max(1, -(-now_ms // bt))
 
     def submit_packet(
-        self,
-        packet: OraclePacket,
-        committee: Committee,
-        params: AggregationParams,
-        now_ms: int,
+        self, packet: OraclePacket, committee: Committee, params: AggregationParams, now_ms: int
     ) -> Receipt:
         """Verify a packet on-chain and finalize the verdict.
 
         Charges the constant verify gas whether or not the packet is
-        accepted, on every submission: the simulator delivers each packet to
-        each chain once.
+        accepted, on every submission and every chain, also where the
+        verdict is the one the packet stored at an earlier check.
         """
         gas = self.charge(OP_VERIFY)
         result = verify(packet, committee, params)

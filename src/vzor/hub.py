@@ -174,15 +174,7 @@ class Hub:
     """Single-owner hub state machine: ledger, governance, adjudications.  Its
     governance timeline is rebuilt only at the first read after a proposal."""
 
-    def __init__(
-        self,
-        genesis: Optional[GovernedParams] = None,
-        governance_delay: int = DEFAULT_GOVERNANCE_DELAY,
-    ) -> None:
-        if genesis is None:
-            genesis = GovernedParams(
-                f_min=10, s_cut=DEFAULT_SLASH_CUT, n=15, s_min=DEFAULT_MIN_STAKE
-            )
+    def __init__(self, genesis: GovernedParams, governance_delay: int) -> None:
         if governance_delay < 0:
             raise ValueError("governance delay must be non-negative")
         self.genesis = genesis

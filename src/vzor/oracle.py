@@ -9,6 +9,7 @@ cannot be replayed into another epoch or under another reporter's id.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import sig
@@ -38,12 +39,13 @@ class AggregationParams:
             raise ValueError("empty value range")
 
     def digest(self) -> bytes:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> bytes:  # made once per object
         return tagged_digest(
-            _PARAMS_TAG,
-            be_u64(self.quorum),
-            be_u64(self.committee_size),
-            be_i64(self.value_min),
-            be_i64(self.value_max),
+            _PARAMS_TAG, be_u64(self.quorum), be_u64(self.committee_size),
+            be_i64(self.value_min), be_i64(self.value_max),
         )
 
     def in_range(self, value: int) -> bool:

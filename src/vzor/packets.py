@@ -66,7 +66,7 @@ def collect_witness(
     values are Byzantine input and are silently dropped; if fewer than the
     quorum survive, raises :class:`QuorumNotMet`.
     """
-    keys = committee.public_keys()
+    keys = committee.public_keys
     seen: set[int] = set()
     entries = []
     for obs in observations:

@@ -16,6 +16,7 @@ programmer error instead.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -67,6 +68,10 @@ class Witness:
     def values(self) -> list[int]:
         return [e.value for e in self.entries]
 
+    @functools.cached_property
+    def _tree(self) -> list[list[bytes]]:  # built once per witness, then only read
+        return _levels(self)
+
     def to_bytes(self) -> bytes:
         head = be_u64(self.epoch) + self.committee_digest + be_u64(len(self.entries))
         return head + b"".join(e.to_bytes() for e in self.entries)
@@ -75,17 +80,12 @@ class Witness:
     def from_bytes(cls, buf: bytes) -> "Witness":
         if len(buf) < 8 + DIGEST_BYTES + 8:
             raise ValueError("witness header truncated")
-        epoch = read_u64(buf, 0)
-        committee_digest = buf[8 : 8 + DIGEST_BYTES]
         count = read_u64(buf, 8 + DIGEST_BYTES)
-        offset = 8 + DIGEST_BYTES + 8
-        if len(buf) != offset + count * WitnessEntry.RECORD_BYTES:
+        offset, size = 8 + DIGEST_BYTES + 8, WitnessEntry.RECORD_BYTES
+        if len(buf) != offset + count * size:
             raise ValueError("witness length does not match entry count")
-        entries = []
-        for _ in range(count):
-            entries.append(WitnessEntry.from_bytes(buf[offset : offset + WitnessEntry.RECORD_BYTES]))
-            offset += WitnessEntry.RECORD_BYTES
-        return cls(epoch=epoch, committee_digest=committee_digest, entries=tuple(entries))
+        entries = (WitnessEntry.from_bytes(buf[i : i + size]) for i in range(offset, len(buf), size))
+        return cls(read_u64(buf, 0), buf[8 : 8 + DIGEST_BYTES], tuple(entries))
 
 
 def _structural_problem(witness: Witness) -> Optional[str]:
@@ -123,9 +123,7 @@ def _levels(witness: Witness) -> list[list[bytes]]:
     """Every level of the padded tree, leaves first and the root last."""
     # pad to the next power of two (minimum 2) by repeating the last leaf
     level = [_leaf(e.to_bytes()) for e in witness.entries]
-    width = 2
-    while width < len(level):
-        width *= 2
+    width = max(2, 1 << (len(level) - 1).bit_length())
     level.extend([level[-1]] * (width - len(level)))
     levels = [level]
     while len(level) > 1:
@@ -135,7 +133,7 @@ def _levels(witness: Witness) -> list[list[bytes]]:
 
 
 def witness_root(witness: Witness) -> bytes:
-    return _levels(witness)[-1][0]
+    return witness._tree[-1][0]
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class InclusionProof:
 
 def inclusion_proofs(witness: Witness) -> list[InclusionProof]:
     """The inclusion proof of every witness entry, in entry order."""
-    levels = _levels(witness)[:-1]
+    levels = witness._tree[:-1]
     return [
         InclusionProof(
             index=index,
@@ -162,10 +160,7 @@ def verify_inclusion(root: bytes, entry: WitnessEntry, proof: InclusionProof) ->
     digest = _leaf(entry.to_bytes())
     pos = proof.index
     for sibling in proof.siblings:
-        if pos % 2 == 0:
-            digest = _node(digest, sibling)
-        else:
-            digest = _node(sibling, digest)
+        digest = _node(sibling, digest) if pos % 2 else _node(digest, sibling)
         pos //= 2
     return pos == 0 and digest == root
 
@@ -217,12 +212,8 @@ def prove(
     problem = _structural_problem(witness)
     if problem is not None:
         raise MalformedWitness(problem)
-    return ProofObject(
-        statement=statement_digest(
-            median_value, witness.epoch, committee.digest(), params.digest()
-        ),
-        witness_root=witness_root(witness),
-    )
+    statement = statement_digest(median_value, witness.epoch, committee.digest(), params.digest())
+    return ProofObject(statement=statement, witness_root=witness_root(witness))
 
 
 # -- verification -------------------------------------------------------------
@@ -280,7 +271,22 @@ def verify(
     6. every value inside the configured range
     7. claimed median equals the median of the witnessed values
     8. commitments: committee digest, witness root, statement digest
+
+    The packet keeps the verdict of its last full check, with the committee
+    and parameters it checked.  A call with those three objects, compared by
+    identity (all are frozen), returns that verdict: a second chain or the
+    hub's re-check adds no work.  Any other object, such as a decoded or
+    altered copy, is checked in full.
     """
+    last = getattr(packet, "_verdict", None)
+    if last is not None and last[0] is committee and last[1] is params:
+        return last[2]
+    result = _check(packet, committee, params)
+    object.__setattr__(packet, "_verdict", (committee, params, result))
+    return result
+
+
+def _check(packet: "OraclePacket", committee: Committee, params: AggregationParams) -> VerifyResult:
     witness = packet.witness
     if _structural_problem(witness) is not None:
         return _reject(Failure.MALFORMED)
@@ -291,7 +297,7 @@ def verify(
     if len(witness.entries) < params.quorum:
         return _reject(Failure.QUORUM_NOT_MET)
 
-    keys = committee.public_keys()
+    keys = committee.public_keys
     for entry in witness.entries:
         if entry.reporter_id not in keys:
             return _reject(Failure.NON_MEMBER, entry.reporter_id)
@@ -308,15 +314,10 @@ def verify(
     if median(witness.values()) != packet.median:
         return _reject(Failure.WRONG_MEDIAN)
 
-    if witness.committee_digest != committee.digest():
-        return _reject(Failure.COMMITMENT_MISMATCH)
-    expected = ProofObject(
-        statement=statement_digest(
-            packet.median, packet.epoch, witness.committee_digest, params.digest()
-        ),
-        witness_root=witness_root(witness),
-    )
-    if packet.proof != expected:
+    if witness.committee_digest != committee.digest() or packet.proof != ProofObject(
+        statement_digest(packet.median, packet.epoch, witness.committee_digest, params.digest()),
+        witness_root(witness),
+    ):
         return _reject(Failure.COMMITMENT_MISMATCH)
 
     return VerifyResult(accepted=True)

@@ -37,10 +37,13 @@ only skips repeated work.  Setting the environment variable
 (no lookups, no new entries), so every check is a real verify.  The
 variable is read at import and again by :func:`reset`.
 
-``vzor verify-trace`` decodes no block before the replay, so its memo hits
-come only from the replay's own re-checks of signatures it has just made.  A
-trace identical to the replay needs no further verify; the replay stops at
-the first block that differs, and only that block's packet is verified again.
+A run's memo hits come from three re-checks of signatures it has just made:
+each committee member's VRF proof at its draw, each observation at packet
+build, and each witness signature at the first chain's verify; the other
+chains and the hub read the verdict the packet stored there.  ``vzor
+verify-trace`` decodes no block before the replay, so its hits are the
+replay's.  The replay stops at the first block that differs, and only that
+block's packet is verified again, in full: it is decoded from the trace.
 
 The module counts signs, real verifies and memo hits; :func:`counters`
 returns a snapshot.  A signature recorded with :func:`record_own` counts

@@ -15,6 +15,7 @@ epoch's entropy pulse, and the ``n`` smallest scores form the committee,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,15 +112,18 @@ class Committee:
     def member_ids(self) -> tuple[int, ...]:
         return tuple(ident.id for ident in self.members)
 
+    @functools.cached_property
     def public_keys(self) -> dict[int, bytes]:
+        """Member id -> public key: one map per committee, which callers only read."""
         return {ident.id: ident.public_key for ident in self.members}
 
     def digest(self) -> bytes:
         """Digest of the member set: (id, public key) pairs sorted by id."""
-        parts = [
-            be_u64(ident.id) + ident.public_key
-            for ident in sorted(self.members, key=lambda ident: ident.id)
-        ]
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> bytes:
+        parts = [be_u64(i.id) + i.public_key for i in sorted(self.members, key=lambda i: i.id)]
         return tagged_digest(_COMMITTEE_TAG, *parts)
 
 

@@ -25,7 +25,7 @@ from vzor.chains import (
     sepolia,
 )
 from vzor.cli import main as cli_main
-from vzor.hub import DEFAULT_MIN_STAKE, DEFAULT_SLASH_CUT, Hub
+from vzor.hub import DEFAULT_MIN_STAKE, DEFAULT_SLASH_CUT, GovernedParams, Hub
 from vzor.oracle import AggregationParams, median, sign_observation
 from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import verify
@@ -293,7 +293,10 @@ def test_criterion_10_governance_delay():
     attribute = {"f_min": "f_min", "s_cut": "s_cut", "n": "n", "S_min": "s_min"}
     delayed_ok = True
     for parameter, value in cases.items():
-        hub = Hub()
+        genesis = GovernedParams(
+            f_min=10, s_cut=DEFAULT_SLASH_CUT, n=15, s_min=DEFAULT_MIN_STAKE
+        )
+        hub = Hub(genesis, governance_delay=2)
         baseline = getattr(hub.effective_params(0), attribute[parameter])
         hub.propose_update(parameter, value, at_epoch=7)
         before = getattr(hub.effective_params(8), attribute[parameter])

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from vzor import cli, encoding, netsim, sig
+from vzor import cli, encoding, netsim, proofs, sig
 from vzor.hub import GovernedParams, Hub
 from vzor.scenario import GovernanceItem, ScenarioConfig, canonical_text
 from vzor.trace import render_trace, verify_trace_text
@@ -25,16 +25,17 @@ FRAUD = ScenarioConfig(
 )
 
 # Per epoch: 65 signs (50 VRF proofs, 15 observations signed in the draw)
-# and 60 memo hits (15 committee VRF proofs, 15 observations at packet build
-# and 15 witness signatures on each of 2 chains); each slash adds the hub's
-# 15 witness checks.  No signature needs a real verify.  An honest epoch
-# takes 5 events: pulse, draw, build and one delivery per chain.
+# and 45 memo hits (15 committee VRF proofs, 15 observations at packet build
+# and 15 witness signatures at the first chain's verify; the second chain and
+# the hub's re-verification read the packet's stored verdict).  No signature
+# needs a real verify.  An honest epoch takes 5 events: pulse, draw, build
+# and one delivery per chain.
 EXPECTED = {
     "honest": {
         "signs": 390,
         "real_verifies": 0,
-        "memo_hits": 360,
-        "digests": 1076,
+        "memo_hits": 270,
+        "digests": 680,
         "events": {
             "_on_committee_draw": 6,
             "_on_packet_built": 6,
@@ -45,8 +46,8 @@ EXPECTED = {
     "fraud": {
         "signs": 390,
         "real_verifies": 0,
-        "memo_hits": 405,
-        "digests": 1196,
+        "memo_hits": 270,
+        "digests": 905,
         "events": {
             "_on_committee_draw": 6,
             "_on_fraud_relayed": 6,
@@ -120,6 +121,23 @@ def test_forked_scorer_gives_the_pinned_counts_and_trace(name, config, monkeypat
     assert text == in_process
     assert verify_trace_text(text).exit_code == 0
     assert len(forks) == 3  # the second run and the replay fork one scorer each
+
+
+@pytest.mark.parametrize("config", [HONEST, FRAUD], ids=["honest", "fraud"])
+def test_one_merkle_tree_per_packet(config, monkeypatch):
+    # prove builds the witness's tree; the chains' verifies, the watcher's
+    # inclusion proofs and the hub's re-check read it (2.5 trees per packet
+    # on the fraud run before the tree was kept on the witness)
+    trees, packets = [], []
+    levels, build = proofs._levels, netsim.build_packet
+    monkeypatch.setattr(proofs, "_levels", lambda witness: trees.append(1) or levels(witness))
+    monkeypatch.setattr(netsim, "build_packet", lambda *a, **kw: packets.append(1) or build(*a, **kw))
+    text = render_trace(netsim.run(config))
+    assert len(trees) == len(packets) == config.epochs
+    trees.clear()
+    packets.clear()
+    assert verify_trace_text(text).exit_code == 0  # the replay builds its own
+    assert len(trees) == len(packets) == config.epochs
 
 
 # 30 slash-cut updates, two at each of epochs 0-14: ties and a change mid-run

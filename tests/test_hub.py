@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from vzor.errors import (
     UnknownParameter,
 )
 from vzor.hub import (
+    DEFAULT_GOVERNANCE_DELAY,
     DEFAULT_MIN_STAKE,
     DEFAULT_SLASH_CUT,
     GOVERNED_PARAMETERS,
@@ -25,8 +27,11 @@ from vzor.hub import (
     eth_to_wei,
     wei_to_eth_text,
 )
+from vzor.proofs import verify
 
 STAKE = 32 * WEI_PER_ETH
+# the scenario defaults' quorum and committee size, the protocol's cut and minimum stake
+GENESIS = GovernedParams(f_min=10, s_cut=DEFAULT_SLASH_CUT, n=15, s_min=DEFAULT_MIN_STAKE)
 
 
 # -- wei arithmetic -------------------------------------------------------------
@@ -143,14 +148,14 @@ def test_collusion_bound_monotone_in_stake():
 
 
 def _hub_with_pool(ids, stake=STAKE):
-    hub = Hub()
+    hub = Hub(GENESIS, DEFAULT_GOVERNANCE_DELAY)
     for rid in ids:
         hub.register(rid, stake)
     return hub
 
 
 def test_register_uses_effective_minimum():
-    hub = Hub()
+    hub = Hub(GENESIS, DEFAULT_GOVERNANCE_DELAY)
     hub.register(1, DEFAULT_MIN_STAKE)
     with pytest.raises(InsufficientStake):
         hub.register(2, DEFAULT_MIN_STAKE - 1)
@@ -161,7 +166,7 @@ def test_register_uses_effective_minimum():
 
 
 def test_propose_update_validation():
-    hub = Hub()
+    hub = Hub(GENESIS, DEFAULT_GOVERNANCE_DELAY)
     with pytest.raises(UnknownParameter):
         hub.propose_update("tau", 1, at_epoch=0)
     with pytest.raises(ValueError):
@@ -169,7 +174,7 @@ def test_propose_update_validation():
 
 
 def test_update_effective_after_delay():
-    hub = Hub(governance_delay=2)
+    hub = Hub(GENESIS, governance_delay=2)
     update = hub.propose_update("f_min", 12, at_epoch=3)
     assert update.effective_epoch == 5
     assert hub.effective_params(3).f_min == 10
@@ -179,14 +184,14 @@ def test_update_effective_after_delay():
 
 
 def test_same_epoch_proposals_later_wins():
-    hub = Hub()
+    hub = Hub(GENESIS, DEFAULT_GOVERNANCE_DELAY)
     hub.propose_update("f_min", 11, at_epoch=1)
     hub.propose_update("f_min", 13, at_epoch=1)
     assert hub.effective_params(3).f_min == 13
 
 
 def test_updates_apply_by_effective_epoch_not_proposal_order():
-    hub = Hub(governance_delay=2)
+    hub = Hub(GENESIS, governance_delay=2)
     hub.propose_update("f_min", 13, at_epoch=4)
     hub.propose_update("f_min", 11, at_epoch=1)
     hub.propose_update("n", 20, at_epoch=4)
@@ -213,7 +218,7 @@ def test_effective_params_fold_the_updates_due(steps, delay):
     # proposals (parameter, value, epoch) out of order and tied at one
     # effective epoch, interleaved with reads (an epoch); every read must see
     # each update proposed before it, however many reads came before
-    hub = Hub(governance_delay=delay)
+    hub = Hub(GENESIS, governance_delay=delay)
     proposed = []  # (effective epoch, proposal order, parameter, value)
     for step in steps:
         if isinstance(step, tuple):
@@ -229,7 +234,7 @@ def test_effective_params_fold_the_updates_due(steps, delay):
 
 
 def test_independent_parameters_compose():
-    hub = Hub()
+    hub = Hub(GENESIS, DEFAULT_GOVERNANCE_DELAY)
     hub.propose_update("f_min", 12, at_epoch=0)
     hub.propose_update("n", 21, at_epoch=1)
     params = hub.effective_params(3)
@@ -273,6 +278,23 @@ def test_adjudicate_is_idempotent(make_packet, agg_params):
     assert hub.snapshot() == snapshot
 
 
+def test_tampered_copy_of_an_accepted_packet_is_checked_in_full(make_packet, agg_params):
+    # the accepted packet stores its verdict; a fraud proof carrying an altered
+    # copy of it must not read that verdict, and is handled as any lying packet
+    packet, committee = make_packet(epoch=4)
+    assert verify(packet, committee, agg_params)
+    lying = dataclasses.replace(packet, median=packet.median + 1)
+    hub = _hub_with_pool(range(50))
+    report = hub.adjudicate(accuse_all_signers(lying, "sepolia"), committee, agg_params)
+    assert report.rejected_reason is None
+    assert sorted(report.slashed) == sorted(e.reporter_id for e in packet.witness.entries)
+    assert report.total_cut == len(packet.witness.entries) * DEFAULT_SLASH_CUT
+    assert verify(lying, committee, agg_params).reason() == "WrongMedian"
+    # the accepted packet itself is still no fraud
+    again = hub.adjudicate(accuse_all_signers(packet, "scroll"), committee, agg_params)
+    assert again.rejected_reason == "NotFraud" and again.slashed == ()
+
+
 def test_adjudicate_not_fraud(make_packet, agg_params):
     packet, committee = make_packet(epoch=4)
     hub = _hub_with_pool(range(50))
@@ -299,8 +321,6 @@ def test_adjudicate_rejects_malformed_proofs(make_packet, agg_params):
 
 
 def test_unproven_accusation_is_skipped(make_packet, agg_params):
-    import dataclasses
-
     lying, committee = _fraud_case(make_packet)
     proof = accuse_all_signers(lying, "sepolia")
     entry, path = proof.inclusion[0]
@@ -340,7 +360,7 @@ def test_slash_floors_at_zero_stake(make_packet, agg_params):
     genesis = GovernedParams(
         f_min=10, s_cut=2 * WEI_PER_ETH, n=15, s_min=DEFAULT_MIN_STAKE
     )
-    hub = Hub(genesis=genesis)
+    hub = Hub(genesis, DEFAULT_GOVERNANCE_DELAY)
     for rid in range(50):
         hub.register(rid, DEFAULT_MIN_STAKE)  # 1 ETH staked, 2 ETH cut
     lying, committee = _fraud_case(make_packet)

@@ -2,7 +2,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vzor import sig
 from vzor.errors import MalformedWitness
 from vzor.oracle import AggregationParams, sign_observation
 from vzor.packets import OraclePacket, build_packet
@@ -21,6 +24,7 @@ from vzor.proofs import (
     verify_inclusion,
     witness_root,
 )
+from vzor.vrf import Committee, ReporterIdentity
 
 from conftest import MUTATION_KINDS, mutate_packet
 
@@ -275,3 +279,60 @@ def test_any_single_mutation_is_rejected(make_packet, agg_params, kind, seed):
     # rejection survives a serialization round trip
     rehydrated = OraclePacket.from_bytes(mutated.to_bytes())
     assert not verify(rehydrated, committee, agg_params)
+
+
+# -- the verdict a packet stores ---------------------------------------------------
+
+
+def _mutate_committee(committee: Committee, kind: str, rng: random.Random) -> Committee:
+    members = list(committee.members)
+    index = rng.randrange(len(members))
+    if kind == "drop_member":
+        del members[index]
+    elif kind == "foreign_key":  # a member's key replaced by another reporter's
+        members[index] = ReporterIdentity(members[index].id, bytes([200 + index]) * 32)
+    elif kind == "reordered":  # same member set, so the same digest
+        members.reverse()
+    elif kind == "epoch":
+        return Committee(committee.epoch + 1, tuple(members))
+    return Committee(committee.epoch, tuple(members))
+
+
+def _mutate_params(params: AggregationParams, kind: str, rng: random.Random) -> AggregationParams:
+    if kind == "quorum":
+        return dataclasses.replace(params, quorum=params.committee_size)
+    if kind == "committee_size":
+        return dataclasses.replace(params, committee_size=params.committee_size + 1)
+    if kind == "value_max":
+        return dataclasses.replace(params, value_max=10_000 + 13 * rng.randrange(15))
+    return dataclasses.replace(params)  # an equal copy
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    packet_kind=st.sampled_from((None,) + MUTATION_KINDS),
+    committee_kind=st.sampled_from((None, "copy", "drop_member", "foreign_key", "reordered", "epoch")),
+    params_kind=st.sampled_from((None, "copy", "quorum", "committee_size", "value_max")),
+    seed=st.integers(0, 2**16),
+)
+def test_stored_verdict_is_the_verdict_of_a_fresh_check(
+    make_packet, agg_params, packet_kind, committee_kind, params_kind, seed
+):
+    rng = random.Random(seed)
+    packet, committee = make_packet(epoch=1)
+    assert verify(packet, committee, agg_params)  # the packet now stores "accepted"
+    p = packet if packet_kind is None else mutate_packet(packet, packet_kind, rng)
+    c = committee if committee_kind is None else _mutate_committee(committee, committee_kind, rng)
+    a = agg_params if params_kind is None else _mutate_params(agg_params, params_kind, rng)
+    first = verify(p, c, a)
+    before = sig.counters()
+    again = verify(p, c, a)
+    assert sig.counters() == before  # the same three objects: the stored verdict
+    fresh = verify(
+        OraclePacket.from_bytes(p.to_bytes()),
+        Committee(c.epoch, tuple(c.members)),
+        AggregationParams(a.quorum, a.committee_size, a.value_min, a.value_max),
+    )
+    assert first == again == fresh
+    honest = packet_kind is None and committee_kind in (None, "copy", "reordered")
+    assert bool(first) == (honest and params_kind in (None, "copy"))

@@ -183,7 +183,7 @@ def test_failed_fork_scores_in_process(forked, monkeypatch, in_process_trace, ca
     monkeypatch.setattr(os, call, fail)
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
     assert failed == [call]
-    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=405)
+    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
 
 
 def test_scorer_that_dies_early_leaves_the_rest_in_process(forked, monkeypatch, in_process_trace):
@@ -193,7 +193,7 @@ def test_scorer_that_dies_early_leaves_the_rest_in_process(forked, monkeypatch, 
     assert forked == [1]
     assert counts["read"] <= 3 * FRAUD.registry_size
     assert counts["signed"] + counts["read"] == PROOFS
-    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=405)
+    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     _assert_no_child()
 
 
@@ -216,7 +216,7 @@ def test_loop_signs_every_proof_while_the_scorer_sleeps(forked, monkeypatch, in_
     assert counts == {"signed": PROOFS, "read": 0}
     # epoch 0's draw forked the child, met it and reaped it before epoch 1's
     assert child_at_draw == [False] * FRAUD.epochs
-    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=405)
+    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     assert forked == [1]
     _assert_no_child()
 
@@ -227,7 +227,7 @@ def test_ends_meet_inside_an_epoch(forked, monkeypatch, in_process_trace):
     counts = split(monkeypatch, loop_signs=167)
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
     assert counts == {"signed": 167, "read": PROOFS - 167}
-    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=405)
+    assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     _assert_no_child()
 
 
