@@ -38,7 +38,6 @@ class ChainConfig:
     """Static parameters of one destination chain."""
 
     chain_id: str
-    kind: str  # "l1" or "l2"
     block_time_seconds: float
     finality_blocks: int
     gas_table: dict[str, int]
@@ -46,8 +45,6 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if not self.chain_id:
             raise ValueError("chain id must be non-empty")
-        if self.kind not in ("l1", "l2"):
-            raise ValueError("chain kind must be 'l1' or 'l2'")
         if self.block_time_seconds <= 0:
             raise ValueError("block time must be positive")
         if self.finality_blocks < 1:
@@ -76,7 +73,6 @@ def sepolia() -> ChainConfig:
     """L1 testnet profile: 15 s blocks, single-block finality."""
     return ChainConfig(
         chain_id="sepolia",
-        kind="l1",
         block_time_seconds=15.0,
         finality_blocks=1,
         gas_table={OP_VERIFY: 296_112, OP_FRAUD: 52_341, OP_GOVERNANCE: 38_220},
@@ -87,7 +83,6 @@ def scroll() -> ChainConfig:
     """L2 rollup profile: 2 s blocks, single-block finality."""
     return ChainConfig(
         chain_id="scroll",
-        kind="l2",
         block_time_seconds=2.0,
         finality_blocks=1,
         gas_table={OP_VERIFY: 88_029, OP_FRAUD: 17_904, OP_GOVERNANCE: 11_706},

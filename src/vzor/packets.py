@@ -8,6 +8,7 @@ destination chain re-check the packet with :func:`vzor.proofs.verify`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -30,6 +31,10 @@ class OraclePacket:
     witness: Witness
 
     def to_bytes(self) -> bytes:
+        return self._bytes
+
+    @functools.cached_property
+    def _bytes(self) -> bytes:  # made once per packet, then only read
         witness_bytes = self.witness.to_bytes()
         return (
             be_u64(self.epoch)

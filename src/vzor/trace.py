@@ -8,17 +8,17 @@ packets re-verify from the committee keys alone, and the embedded
 config reproduces the entire simulation.  ``vzor run`` writes the head,
 then each block and CSV row as the simulator closes its epoch, through
 :func:`render_trace`, the same function that renders a finished run.
-Verification reads the trace line by line, twice: once to check its
-structure, then again to compare each epoch's block with the replay's as
-the replay closes it, stopping at the first that differs.  Neither holds
-more than one block, and the protocol rules themselves live only in the
-modules the replay runs.
+Verification reads the trace once, line by line: it checks the structure
+as it reads, and compares each epoch's block with the replay's as the
+replay closes it, up to the first that differs.  It holds no more than
+one block, so a trace can be read from a pipe, and the protocol rules
+themselves live only in the modules the replay runs.
 
-Verification distinguishes two failure classes.  File-level damage
-(missing header, broken section structure, unreadable config) is
-corruption.  Anything wrong inside an epoch block, from an unparseable
-receipt to a flipped acceptance bit, is an outcome mismatch reported
-with its epoch.
+Verification distinguishes two failure classes, and gives its verdict
+after the last line, corruption first.  File-level damage (missing
+header, broken section structure, unreadable config) is corruption.
+Anything wrong inside an epoch block, from an unparseable receipt to a
+flipped acceptance bit, is an outcome mismatch reported with its epoch.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 from . import netsim
 from .errors import TraceCorruption
@@ -169,20 +169,14 @@ def render_csv(trace: netsim.RunTrace) -> str:
 # -- parsing ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedTrace:
-    config_text: str
-    head: str  # the text before the first epoch block
-    epochs: tuple[int, ...]  # each block's epoch number, in file order
-
-
-def parse_trace(lines: Iterable[str]) -> ParsedTrace:
-    """Structural parse of a trace's lines, each with its newline, as an open
-    file or ``io.StringIO`` gives them.  Keeps only the config, the head and
-    the epoch numbers; raises TraceCorruption on file-level damage."""
-    source = iter(lines)
+def parse_trace(lines: Iterator[str]) -> tuple[str, str, str]:
+    """Structural parse of a trace's head from an iterator over its lines,
+    each with its newline, as an open file or ``io.StringIO`` gives them.
+    Returns its config, the head (the text before the first epoch block)
+    and the line after it ("" at the end), where :func:`_blocks` reads on;
+    raises TraceCorruption on damage."""
     head = []  # the lines before the first block
-    while (line := next(source, "")) and not line.startswith(("[epoch ", "[end]")):
+    while (line := next(lines, "")) and not line.startswith(("[epoch ", "[end]")):
         head.append(line.removesuffix("\n"))
     if head[:1] != [TRACE_HEADER]:
         raise TraceCorruption("missing trace header")
@@ -204,32 +198,28 @@ def parse_trace(lines: Iterable[str]) -> ParsedTrace:
     strays = [x for x in head[i + 3 :] if not x.startswith("governance ")]
     if strays:
         raise TraceCorruption(f"expected epoch header, got {strays[0]!r}")
-    epochs = []
+    return "\n".join(head[2:i]) + "\n", "\n".join(head) + "\n", line
+
+
+def _blocks(line: str, lines: Iterator[str]) -> Iterator[tuple[int, str]]:
+    """Each epoch block's number and text, from ``line`` on, checked as it is
+    read up to the end marker; raises TraceCorruption on damage."""
     while line.startswith("[epoch "):
         if not line.endswith("]\n"):
             raise TraceCorruption(f"expected epoch header, got {line!r}")
         try:
-            epochs.append(int(line[len("[epoch ") : -2]))
+            epoch = int(line[len("[epoch ") : -2])
         except ValueError as exc:
             raise TraceCorruption(f"bad epoch header {line!r}") from exc
-        while (line := next(source, "[end]\n")) != "[/epoch]\n":  # no text left: unterminated
+        block = [line]
+        while (line := next(lines, "[end]\n")) != "[/epoch]\n":  # no text left: unterminated
             if line.startswith("[epoch ") or line == "[end]\n":
-                raise TraceCorruption(f"unterminated block for epoch {epochs[-1]}")
-        line = next(source, "")
-    if line != "[end]\n" or next(source, None) is not None:
+                raise TraceCorruption(f"unterminated block for epoch {epoch}")
+            block.append(line)
+        yield epoch, "".join(block) + line
+        line = next(lines, "")
+    if line != "[end]\n" or next(lines, None) is not None:
         raise TraceCorruption("missing end marker, or text after it")
-    return ParsedTrace("\n".join(head[2:i]) + "\n", "\n".join(head) + "\n", tuple(epochs))
-
-
-def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """The text of each epoch block in a trace's lines after its head, once
-    :func:`parse_trace` has checked them."""
-    block: list[str] = []
-    for line in lines:
-        block.append(line)
-        if line == "[/epoch]\n":
-            yield "".join(block)
-            block = []
 
 
 # -- verification ---------------------------------------------------------------
@@ -325,71 +315,70 @@ def _block_problems(
 
 
 def verify_trace_text(text: Union[str, TextIO]) -> TraceCheck:
-    """Check a trace, a string or a text file open for reading, against one
-    replay of its embedded config, epoch by epoch.
+    """Check a trace, a string or a text file open for reading (a pipe will
+    do), against one replay of its embedded config, in one pass over its lines.
 
-    A string is read as ``io.StringIO``, so both take one path, in two
-    passes over the lines.  The first is :func:`parse_trace`, after which
-    the embedded config builds the replay's :class:`netsim.Simulator`, which
-    validates it: damage, or a config that does not parse or validate, is
-    corruption, found before anything is replayed.  The head (config echo,
-    chains, starting ledger, governance) must be what :func:`render_head`
-    makes of that simulator; a difference is reported by line number and
-    nothing is replayed.  The second pass starts over and reads one block
-    at a time as the simulator's :meth:`netsim.Simulator.epochs` hands on each
-    epoch; the recorded block must render to the same bytes, and a file
-    cut short or grown by a block since the first pass is corruption.  The replay's chains
-    verified exactly those packets against exactly those committees, and
-    its gas, latency, slashing and ledger rules are the ones the run used,
-    so no rule is checked a second time here.
+    A string is read as ``io.StringIO``.  :func:`parse_trace` reads the
+    head, whose config builds and validates the replay's
+    :class:`netsim.Simulator`, and :func:`_blocks` reads on.  While the head
+    is what :func:`render_head` makes of that simulator, the blocks so far
+    are epochs 0, 1, 2, ... and none has differed, each block must render to
+    the bytes of the next epoch :meth:`netsim.Simulator.epochs` hands on.  The
+    replay's chains verified exactly those packets against exactly those
+    committees, and its gas, latency, slashing and ledger rules are the ones
+    the run used, so no rule is checked a second time here.
 
-    The first block that differs stops the replay, and only it is decoded:
-    it is reported as unreadable, or by its packet re-verified against its
-    recorded committee when the verdict is not its receipts', or else by
-    its first diverging line, with its kind and field.
+    The verdict comes after the last line.  Exit 2: damage or an unreadable
+    line, the first in file order, else a config that does not parse or
+    validate.  Exit 4: blocks that are not the config's epochs 0..E-1, else a
+    head that differs, by line number, else the first block that differs, the
+    only one decoded: as unreadable, or by its packet re-verified against its
+    recorded committee when the verdict is not its receipts', or else by its
+    first diverging line, kind and field.
     """
-    source = io.StringIO(text) if isinstance(text, str) else text
+    lines = iter(io.StringIO(text) if isinstance(text, str) else text)
     try:
-        parsed = parse_trace(source)
-        sim = netsim.Simulator(parse_config(parsed.config_text))
-    except Exception as exc:
+        config_text, recorded_head, line = parse_trace(lines)
+    except Exception as exc:  # damage, or a line that cannot be read
         return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
-
-    seen = list(parsed.epochs)
-    if len(seen) != sim.config.epochs or seen != list(range(sim.config.epochs)):
-        problem = (
-            f"trace covers epochs {seen[:3]}..{seen[-3:] if seen else []} "
-            f"but config says 0..{sim.config.epochs - 1}"
-        )
-        return TraceCheck(exit_code=4, problems=(problem,))
-    head = render_head(sim)
-    if parsed.head != head:
-        k, a, b = _first_difference(parsed.head, head)
-        problem = f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}"
-        return TraceCheck(exit_code=4, problems=(problem,))
-
-    source.seek(0)
-    blocks = _blocks(itertools.islice(source, head.count("\n"), None))
-    replay = sim.epochs()
-    compared = 0
     try:
-        for epoch, recorded, record in zip(seen, blocks, replay):
-            compared += 1
-            replayed = render_block(record)
-            if recorded != replayed:
-                return TraceCheck(
-                    exit_code=4, problems=_block_problems(sim, epoch, recorded, replayed)
-                )
+        sim, invalid = netsim.Simulator(parse_config(config_text)), None
+    except Exception as exc:  # reported unless damage follows
+        sim, invalid = None, TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
+    replay = sim.epochs() if sim and (head := render_head(sim)) == recorded_head else None
+    blocks, seen, count, in_order, mismatch = _blocks(line, lines), [], 0, True, ()
+    try:
+        while True:
+            try:
+                epoch, recorded = next(blocks)
+            except StopIteration:
+                break
+            except Exception as exc:  # damage, or a line that cannot be read
+                return TraceCheck(exit_code=2, problems=(f"corrupt trace: {exc}",))
+            in_order = in_order and epoch == count
+            count += 1
+            seen.append(epoch)
+            del seen[3:-3]  # the first three and the last three are all a report names
+            if replay and in_order and not mismatch and (record := next(replay, None)):
+                if (replayed := render_block(record)) != recorded:
+                    mismatch = _block_problems(sim, epoch, recorded, replayed)
     finally:
-        replay.close()
-    if compared < len(seen) or next(blocks, None) is not None:  # cut or grown since pass 1
-        return TraceCheck(exit_code=2, problems=("corrupt trace: it changed while being read",))
-    return TraceCheck(exit_code=0, problems=())
+        if replay:
+            replay.close()
+    if invalid:
+        return invalid
+    if not in_order or count != sim.config.epochs:
+        last = sim.config.epochs - 1
+        mismatch = (f"trace covers epochs {seen[:3]}..{seen[-3:]} but config says 0..{last}",)
+    elif recorded_head != head:
+        k, a, b = _first_difference(recorded_head, head)
+        mismatch = (f"line {k} diverges from deterministic replay: recorded {a!r}, replay {b!r}",)
+    return TraceCheck(exit_code=4 if mismatch else 0, problems=mismatch)
 
 
 def verify_trace_file(path: str) -> TraceCheck:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return verify_trace_text(handle)
-    except (OSError, UnicodeDecodeError) as exc:  # unopenable, or changed after pass 1
+    except OSError as exc:  # unopenable
         return TraceCheck(exit_code=2, problems=(f"cannot read trace: {exc}",))

@@ -22,11 +22,9 @@ from conftest import mutate_packet
 
 def test_preset_gas_tables():
     l1 = sepolia()
-    assert l1.kind == "l1"
     assert l1.block_time_seconds == 15.0
     assert l1.gas_table == {OP_VERIFY: 296_112, OP_FRAUD: 52_341, OP_GOVERNANCE: 38_220}
     l2 = scroll()
-    assert l2.kind == "l2"
     assert l2.block_time_seconds == 2.0
     assert l2.gas_table == {OP_VERIFY: 88_029, OP_FRAUD: 17_904, OP_GOVERNANCE: 11_706}
     assert set(CHAIN_PRESETS) == {"sepolia", "scroll"}
@@ -45,17 +43,15 @@ def test_gas_cost_unknown_operation():
 def test_config_validation():
     table = sepolia().gas_table
     with pytest.raises(ValueError):
-        ChainConfig("", "l1", 15.0, 1, table)
+        ChainConfig("", 15.0, 1, table)
     with pytest.raises(ValueError):
-        ChainConfig("x", "l3", 15.0, 1, table)
+        ChainConfig("x", 0.0, 1, table)
     with pytest.raises(ValueError):
-        ChainConfig("x", "l1", 0.0, 1, table)
+        ChainConfig("x", 15.0, 0, table)
     with pytest.raises(ValueError):
-        ChainConfig("x", "l1", 15.0, 0, table)
+        ChainConfig("x", 15.0, 1, {OP_VERIFY: 1})
     with pytest.raises(ValueError):
-        ChainConfig("x", "l1", 15.0, 1, {OP_VERIFY: 1})
-    with pytest.raises(ValueError):
-        ChainConfig("x", "l1", 15.0, 1, dict(table, **{OP_VERIFY: GAS_CEILING + 1}))
+        ChainConfig("x", 15.0, 1, dict(table, **{OP_VERIFY: GAS_CEILING + 1}))
 
 
 def test_inclusion_height_rounds_up():

@@ -14,6 +14,7 @@ from vzor.netsim import (
     run,
 )
 from vzor.packets import OraclePacket
+from vzor.proofs import Witness
 from vzor.scenario import GovernanceItem, ScenarioConfig
 from vzor.trace import render_trace, verify_trace_text
 
@@ -214,6 +215,17 @@ def test_fraud_charges_fraud_gas_on_origin_chain():
         fraud_count * 17_904,
         52_341 + 17_904,
     )
+
+
+def test_each_packet_is_serialized_once(monkeypatch):
+    # the trace's packet line and the hub's packet digest of a fraud epoch
+    # share one serialization
+    calls = []
+    to_bytes = Witness.to_bytes
+    monkeypatch.setattr(Witness, "to_bytes", lambda witness: calls.append(1) or to_bytes(witness))
+    trace = run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
+    assert sum(r.slash is not None for r in trace.records) == 2
+    assert len(calls) == sum(r.packet_bytes is not None for r in trace.records) == 12
 
 
 def test_governance_resizes_committee_mid_run():

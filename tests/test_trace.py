@@ -1,15 +1,16 @@
 import dataclasses
 import io
-import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from vzor import cli, netsim, sig
 from vzor import trace as trace_mod
-from vzor.errors import TraceCorruption
 from vzor.oracle import observation_message
 from vzor.packets import OraclePacket
 from vzor.scenario import GovernanceItem, ScenarioConfig, canonical_text
@@ -79,15 +80,14 @@ def test_ms_to_s_text(ms, text):
 
 def test_parse_round_trip(fraud_trace):
     text = render_trace(fraud_trace)
-    lines = io.StringIO(text)
-    parsed = parse_trace(lines)
-    lines.seek(0)  # the second pass, as verify-trace makes it
-    blocks = trace_mod._blocks(itertools.islice(lines, parsed.head.count("\n"), None))
-    assert parsed.head + "".join(blocks) + "[end]\n" == text
-    assert parsed.config_text == canonical_text(fraud_trace.config)
-    assert parsed.head == render_head(fraud_trace)
-    assert list(parsed.epochs) == list(range(12))
-    assert parsed.head.count("\ngovernance effective=") == 1
+    lines = iter(io.StringIO(text))
+    config_text, head, line = parse_trace(lines)
+    blocks = list(trace_mod._blocks(line, lines))  # read on from the same iterator
+    assert head + "".join(block for _, block in blocks) + "[end]\n" == text
+    assert config_text == canonical_text(fraud_trace.config)
+    assert head == render_head(fraud_trace)
+    assert [epoch for epoch, _ in blocks] == list(range(12))
+    assert head.count("\ngovernance effective=") == 1
 
 
 def test_csv_shape(fraud_trace):
@@ -149,24 +149,6 @@ def test_streamed_outputs_equal_the_rendered_run(tmp_path, fraud_trace, capsys):
 # -- structural corruption (exit 2) ---------------------------------------------------
 
 
-def test_parse_rejects_structure_damage(honest_trace):
-    text = render_trace(honest_trace)
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(""))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text.replace(TRACE_HEADER, "vzor-trace v2", 1)))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text.replace("[/config]", "", 1)))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text.replace("\n[end]\n", "\n", 1)))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text.replace("[/epoch]", "", 1)))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text + "[end]\n"))
-    with pytest.raises(TraceCorruption):
-        parse_trace(io.StringIO(text.rstrip("\n")))
-
-
 @pytest.mark.parametrize(
     "damage",
     [
@@ -174,6 +156,12 @@ def test_parse_rejects_structure_damage(honest_trace):
         lambda text: text.replace(TRACE_HEADER, "xzor-trace v1", 1),
         lambda text: text.replace("ledger start total=", "ledger start totel=", 1),
         lambda text: text.replace("chains sepolia,scroll", "chains", 1),
+        lambda text: text.replace(TRACE_HEADER, "vzor-trace v2", 1),
+        lambda text: text.replace("[/config]", "", 1),
+        lambda text: text.replace("[/epoch]", "", 1),
+        lambda text: text.replace("\n[end]\n", "\n", 1),
+        lambda text: text + "[end]\n",
+        lambda text: text.rstrip("\n"),
     ],
 )
 def test_verify_exits_2_on_corruption(honest_trace, damage):
@@ -205,40 +193,53 @@ def test_verify_exits_2_on_tampered_config(honest_trace):
         assert (check.exit_code, check.problems) == (2, (f"corrupt trace: {message}",))
 
 
-class _RewrittenBetweenPasses(io.StringIO):
-    """A trace file that ``rewrite`` replaces when verify-trace seeks back to
-    its start for the second pass, as a copy over the file would."""
-
-    def __init__(self, text, rewrite):
-        super().__init__(text)
-        self.rewrite = rewrite
-
-    def seek(self, *args):
-        text = self.rewrite(self.getvalue())
-        super().seek(0)
-        self.truncate()
-        self.write(text)
-        return super().seek(*args)
+def _verify_piped(text: str) -> subprocess.CompletedProcess:
+    """``vzor verify-trace /dev/stdin`` in a fresh interpreter, with ``text`` piped in."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trace_mod.__file__)))
+    command = [sys.executable, "-m", "vzor.cli", "verify-trace", "/dev/stdin"]
+    return subprocess.run(command, input=text, capture_output=True, text=True, env=env)
 
 
-def _grow(text):
-    last = text[text.rindex("[epoch ") : -len("[end]\n")]
-    return text[: -len("[end]\n")] + last + "[end]\n"
+def test_verify_reads_a_trace_from_a_pipe():
+    # a pipe cannot seek: the trace is read in one pass
+    text = render_trace(netsim.run(ScenarioConfig(seed=3, epochs=6)))
+    clean = _verify_piped(text)
+    assert (clean.returncode, clean.stderr) == (0, "")
+    edited = _verify_piped(_swap_line(text, "receipt chain=scroll", "gas=88029", "gas=88028"))
+    assert edited.returncode == 4
+    assert edited.stderr == "epoch 0: receipt gas: recorded 88028, deterministic replay 88029\n"
 
 
-@pytest.mark.parametrize(
-    ("rewrite", "exit_code"),
-    [
-        (lambda text: text, 0),
-        (lambda text: text[: text.rindex("[epoch ")], 2),
-        (lambda text: text[: len(text) // 2], 2),
-        (_grow, 2),
-    ],
-    ids=["unchanged", "last-block-cut", "cut-mid-block", "block-added"],
-)
-def test_verify_exits_2_when_the_trace_changes_between_passes(honest_trace, rewrite, exit_code):
-    check = verify_trace_text(_RewrittenBetweenPasses(render_trace(honest_trace), rewrite))
-    assert check.exit_code == exit_code, check.problems
+def test_verdict_order_across_sites():
+    # an epoch-0 block mismatch and one more edit: damage anywhere comes
+    # first, then the epoch numbers, then the head, then the first block;
+    # damage comes before a config that fails validation, too
+    text = render_trace(netsim.run(ScenarioConfig(seed=3, epochs=6)))
+    gas = _swap_line(text, "receipt chain=scroll", "gas=88029", "gas=88028")
+    start = next(line for line in text.split("\n") if line.startswith("ledger start "))
+    quorum = _swap_line(text, "quorum = 10", "quorum = 10", "quorum = 16")
+    end = quorum.rindex("[/epoch]\n")  # the last block's end line
+    cases = [
+        (gas + "x\n", 2, "corrupt trace: missing end marker, or text after it"),
+        (
+            gas.replace("[epoch 4]", "[epoch 9]", 1),
+            4,
+            "trace covers epochs [0, 1, 2]..[3, 9, 5] but config says 0..5",
+        ),
+        (
+            _swap_line(gas, "ledger start", "burned=0", "burned=00"),
+            4,
+            f"line 29 diverges from deterministic replay: recorded {start + '0'!r}, "
+            f"replay {start!r}",
+        ),
+        (
+            quorum[:end] + quorum[end + len("[/epoch]\n") :],
+            2,
+            "corrupt trace: unterminated block for epoch 5",
+        ),
+    ]
+    for edited, exit_code, problem in cases:
+        assert verify_trace_text(edited) == trace_mod.TraceCheck(exit_code, (problem,))
 
 
 # -- clean traces (exit 0) --------------------------------------------------------------
