@@ -48,6 +48,7 @@ from .vrf import (
     ReporterSecret,
     evaluate_registry,
     select_committee,
+    sortition_message,
     sortition_signed_message,
 )
 
@@ -139,81 +140,65 @@ class _EpochState:
 
 
 class _Scorer:
-    """The registry's VRF proofs, signed from both ends of one work list.
+    """The registry's VRF proofs, met inside each epoch by a forked child.
 
     A sortition proof is a pure function of (reporter key, pulse value,
     epoch), and a pulse value of (beacon seed, epoch).  The list holds every
     proof in (epoch, reporter id) order.  A run of SCORER_MIN_SIGNS proofs or
-    more forks, at its first draw, a child that signs the list from that
-    draw on and streams each epoch's 64-byte signatures through a pipe.  A
-    draw that needs a proof the pipe has not delivered signs the list's last
-    open proof itself instead of waiting; the child, which sees how far that
-    end has come, stops there, and is killed and reaped the moment the two
-    ends meet.  Without a child the loop signs in draw order.  Each draw
-    records the proofs it uses with ``sig.record_own`` and drops them.  Pulse
-    values are made here, each once, at its pulse or at the loop's first
-    proof of it, and kept until its epoch's draw.
+    more forks, at its first draw, a child that writes each epoch's proofs
+    from reporter id 0 up through a blocking pipe, whose capacity bounds its
+    lead.  A draw reads what the child has written of its epoch and signs
+    the rest itself from the highest id down.  Two shared words say how far
+    each side has come: the loop's lowest own proof (its claim) and the end
+    of what the child has written.  At or above a claim it has seen, or in
+    an epoch already drawn, the child writes zeros instead, so every epoch
+    fills ``registry_size`` slots of the pipe and a draw drops the bytes
+    before its epoch.  Proof bytes cross only the pipe, so a stale word
+    costs at most a duplicate sign, never a wrong proof.  Without a child
+    the loop signs every proof.  Each draw records the proofs it uses with
+    ``sig.record_own``.
     """
 
     def __init__(self, secrets: list[ReporterSecret], beacon_seed: bytes, epochs: int) -> None:
         self._secrets = secrets
         self._seed = beacon_seed
-        self._pid = self._fd = 0
-        self._size = epochs * len(secrets)  # the list's length
-        self._unstarted = self._size >= SCORER_MIN_SIGNS
-        self._back = [self._size]  # [0]: the loop's last proof
-        self._tail = bytearray()  # the loop's proofs, the list's last first, each reversed
-        self._values: dict[int, bytes] = {}  # epoch -> pulse value, until the epoch's draw
+        self._epochs = epochs
+        self._pid = self._fd = self._read = 0  # _read: the list's byte offset read from the pipe
+        self._unstarted = epochs * len(secrets) >= SCORER_MIN_SIGNS
+        self._words = [-1, 0]  # [0]: the loop's claim, [1]: the child's written end
 
-    def pulse_value(self, epoch: int) -> bytes:
-        if epoch not in self._values:
-            self._values[epoch] = pulse_value(self._seed, epoch)
-        return self._values[epoch]
-
-    def proofs(self, epoch: int) -> list[bytes]:
-        """The epoch's proofs indexed by reporter id; draws come in epoch order."""
+    def proofs(self, epoch: int, message: bytes) -> list[bytes]:
+        """The epoch's proofs of ``message``, indexed by reporter id; draws
+        come in epoch order."""
         if self._unstarted:
             self._unstarted = False
             self._start(epoch)
         start = epoch * len(self._secrets)  # the list index of the epoch's first proof
-        end = start + len(self._secrets)
-        head = b""  # the epoch's proofs from the front
-        while (have := start + len(head) // SIGNATURE_BYTES) < (stop := min(self._back[0], end)):
-            if not self._pid:  # no child: sign the rest in draw order
-                head = head[: (have - start) * SIGNATURE_BYTES] + self._sign(have, stop)
-                continue
-            try:
-                data = os.read(self._fd, (stop - start) * SIGNATURE_BYTES - len(head))
-            except BlockingIOError:  # nothing delivered yet: sign the last open proof
-                self._back[0] -= 1
-                self._tail += self._sign(self._back[0], self._back[0] + 1)[::-1]
-                continue
-            if not data:
-                self.close()  # the child died first
-            head += data
-        if self._pid and have >= self._back[0]:
-            self.close()  # the ends met
-        del self._values[epoch]
-        own = (self._size - end) * SIGNATURE_BYTES  # the epoch's proofs end the tail
-        data = head + self._tail[own:][::-1]  # read backwards: in list order again
-        del self._tail[own:]
-        return [data[i : i + SIGNATURE_BYTES] for i in range(0, len(data), SIGNATURE_BYTES)]
-
-    def _sign(self, first: int, stop: int) -> bytes:
-        """The list's proofs ``first`` to ``stop - 1``, all of one epoch."""
-        epoch, rid = divmod(first, len(self._secrets))
-        message = sortition_signed_message(self.pulse_value(epoch), epoch)
-        return b"".join(s.sign_unrecorded(message) for s in self._secrets[rid : rid + stop - first])
+        head, own = b"", []  # its proofs from the pipe; the loop's, the highest id first
+        words = self._words
+        while start + len(head) // SIGNATURE_BYTES < (low := start + len(self._secrets) - len(own)):
+            if self._pid and self._read < words[1] * SIGNATURE_BYTES:
+                data = os.read(self._fd, min(words[1], low) * SIGNATURE_BYTES - self._read)
+                if not data:
+                    self.close()  # the child died
+                head += data[max(start * SIGNATURE_BYTES - self._read, 0) :]
+                self._read += len(data)
+            else:
+                words[0] = low - 1
+                own.append(self._secrets[low - 1 - start].sign_unrecorded(message))
+        stop = (low - start) * SIGNATURE_BYTES  # a dead child may leave part of a proof
+        return [head[i : i + SIGNATURE_BYTES] for i in range(0, stop, SIGNATURE_BYTES)] + own[::-1]
 
     def _start(self, first_epoch: int) -> None:
         if threading.active_count() > 1:
             return  # the child could block forever on a lock another thread held
         try:
-            back = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared with the child
+            words = memoryview(mmap.mmap(-1, 16)).cast("q")  # shared with the child
             read_fd, write_fd = os.pipe()
         except OSError:
             return
-        back[0] = self._size
+        size = len(self._secrets)
+        words[0], words[1] = -1, first_epoch * size
         try:
             pid = os.fork()
         except OSError:
@@ -225,18 +210,24 @@ class _Scorer:
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as out:
-                    epoch = first_epoch
-                    while (todo := back[0] - epoch * len(self._secrets)) > 0:  # to the loop's end
+                    for epoch in range(first_epoch, self._epochs):
                         message = sortition_signed_message(pulse_value(self._seed, epoch), epoch)
-                        out.write(b"".join(s.sign_unrecorded(message) for s in self._secrets[:todo]))
-                        out.flush()
-                        epoch += 1
+                        for rid, secret in enumerate(self._secrets):
+                            claimed, at = divmod(words[0], size)
+                            if claimed > epoch or claimed == epoch and rid >= at:
+                                words[1] = (epoch + 1) * size  # first: the zeros may fill the pipe
+                                out.write(bytes((size - rid) * SIGNATURE_BYTES))
+                                out.flush()
+                                break
+                            out.write(secret.sign_unrecorded(message))
+                            out.flush()
+                            words[1] = epoch * size + rid + 1
                 status = 0
             finally:
                 os._exit(status)  # never return into the parent's code
         os.close(write_fd)
-        os.set_blocking(read_fd, False)
-        self._pid, self._fd, self._back = pid, read_fd, back
+        self._pid, self._fd, self._words = pid, read_fd, words
+        self._read = first_epoch * size * SIGNATURE_BYTES
 
     def close(self) -> None:
         if self._pid:
@@ -255,13 +246,11 @@ class Simulator:
     the epoch's state; it reaps the VRF scorer (``_Scorer``) when it ends,
     is closed, or a handler raises.  :meth:`run` drives it to the end and
     hands each record to a sink, which is how ``vzor run`` writes its files,
-    or collects them; ``verify-trace`` consumes it directly.  A forked
-    scorer still grows with the run: the proofs its loop signs from the
-    list's end wait for their draws (8.7 MB at 14,400 epochs, 2-vCPU VM).
-    Construction keeps the genesis hub that validating the config returns,
-    the run's one hub.  Governance updates only charge gas and are recorded,
-    so both are done then, as is capping the verdict memo at the signatures
-    of the epochs open at once: every memo hit re-checks one of them.
+    or collects them; ``verify-trace`` consumes it directly.  Construction
+    keeps the genesis hub that validating the config returns, the run's one
+    hub.  Governance updates only charge gas and are recorded, so both are
+    done then, as is capping the verdict memo at the signatures of the
+    epochs open at once: every memo hit re-checks one of them.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -366,7 +355,7 @@ class Simulator:
         )
 
     def _on_pulse(self, epoch: int) -> None:
-        self._pulse = next_pulse(self._beacon, self._pulse, self._scorer.pulse_value(epoch))
+        self._pulse = next_pulse(self._beacon, self._pulse, pulse_value(self._beacon.seed, epoch))
         if epoch:
             walk = self.config.value_walk_max
             self._truth = self._clamp(self._truth + self._rng_walk.randint(-walk, walk))
@@ -381,7 +370,8 @@ class Simulator:
         governed = self.hub.effective_params(epoch)
         state.agg = self.config.aggregation_params(governed)
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
-        scored = evaluate_registry(active, state.pulse, epoch, self._scorer.proofs(epoch))
+        proofs = self._scorer.proofs(epoch, sortition_message(state.pulse, epoch)[0])
+        scored = evaluate_registry(active, state.pulse, epoch, proofs)
         try:
             state.committee = select_committee(state.pulse, epoch, scored, governed.n)
         except RegistryTooSmall:

@@ -127,6 +127,7 @@ class Committee:
         return tagged_digest(_COMMITTEE_TAG, *parts)
 
 
+@functools.lru_cache(maxsize=1)  # a draw's scorer, scoring and selection share it
 def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
     """(signed message, input digest) of the epoch's committee draw."""
     input_bytes = sortition_input(pulse.value, epoch)

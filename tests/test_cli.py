@@ -7,7 +7,7 @@ import pytest
 from vzor import sig
 from vzor import trace as trace_mod
 from vzor.cli import cmd_run, cmd_verify_trace, main
-from vzor.scenario import ScenarioConfig, canonical_text, parse_config
+from vzor.scenario import MAX_REGISTRY_SIZE, ScenarioConfig, canonical_text, parse_config
 
 SMALL = "seed = 7\nepochs = 10\n"
 FRAUD = SMALL + "adversary_behavior = wrong_median_packet\nfraud_period = 5\n"
@@ -176,6 +176,34 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
                  "--out", taken]) == 2
     err = capsys.readouterr().err
     assert err.count("cannot write outputs:") == 2
+    assert "Traceback" not in err
+
+
+def test_registry_above_its_cap_exits_cleanly(run_dir, tmp_path, capsys):
+    # validation registers every reporter, so a short file must not size it
+    too_many = f"registry_size = {MAX_REGISTRY_SIZE + 1}"
+    config = _write(tmp_path, "wide.txt", SMALL + too_many + "\n")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "wide")]) == 3
+    text = (run_dir / "trace.txt").read_text()
+    edited = _write(tmp_path, "edited.txt", text.replace("registry_size = 50", too_many, 1))
+    assert main(["verify-trace", edited]) == 2
+    err = capsys.readouterr().err
+    assert f"corrupt trace: registry_size must be at most {MAX_REGISTRY_SIZE}" in err
+    assert err.count(f"registry_size must be at most {MAX_REGISTRY_SIZE}") == 2
+    assert "Traceback" not in err
+
+
+def test_trace_claiming_epochs_beyond_64_bits_is_found_short(tmp_path, capsys):
+    # the replay forks its scorer and runs epoch 0; then the file ends
+    out = tmp_path / "out"
+    config = _write(tmp_path, "one.txt", "seed = 7\nepochs = 1\n")
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    text = (out / "trace.txt").read_text()
+    claimed = text.replace("\nepochs = 1\n", f"\nepochs = {10**20}\n")
+    edited = _write(tmp_path, "edited.txt", claimed)
+    assert main(["verify-trace", edited]) == 4
+    err = capsys.readouterr().err
+    assert f"trace covers epochs [0]..[0] but config says 0..{10**20 - 1}" in err
     assert "Traceback" not in err
 
 

@@ -35,7 +35,7 @@ EXPECTED = {
         "signs": 390,
         "real_verifies": 0,
         "memo_hits": 270,
-        "digests": 680,
+        "digests": 674,
         "events": {
             "_on_committee_draw": 6,
             "_on_packet_built": 6,
@@ -47,7 +47,7 @@ EXPECTED = {
         "signs": 390,
         "real_verifies": 0,
         "memo_hits": 270,
-        "digests": 905,
+        "digests": 899,
         "events": {
             "_on_committee_draw": 6,
             "_on_fraud_relayed": 6,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from vzor import netsim, sig
+from vzor import sig
 from vzor.chains import OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
 from vzor.netsim import (
     Simulator,
@@ -320,15 +320,11 @@ def test_construction_does_not_follow_the_epoch_count():
     assert _traced_peak(Simulator, ScenarioConfig(epochs=100_000)) < 2**20
 
 
-def test_run_memory_does_not_follow_the_epoch_count(monkeypatch):
-    # scored in-process: a forked scorer's loop keeps each proof it signs from
-    # the list's end until that epoch's draw, and how many it signs depends on
-    # how fast the child runs, which tracing slows
-    monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 1_920 * SMALL.registry_size + 1)
+def null_sink_run(config):
+    Simulator(config).run(lambda record: None)
 
-    def null_sink_run(config):
-        Simulator(config).run(lambda record: None)
 
+def test_run_memory_does_not_follow_the_epoch_count():
     peaks = [
         _traced_peak(null_sink_run, dataclasses.replace(SMALL, epochs=epochs))
         for epochs in (480, 1_920)

@@ -6,15 +6,18 @@ stakes mid-run, shrink the active set below the committee size, and make a
 cut take less than its full amount.
 """
 
+import contextlib
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vzor import netsim
 from vzor.cli import SWEEPABLE, main
-from vzor.scenario import BEHAVIORS, ScenarioConfig, canonical_text
+from vzor.errors import ConfigError, InvalidScenario
+from vzor.scenario import BEHAVIORS, MAX_REGISTRY_SIZE, ScenarioConfig, canonical_text, parse_config
 from vzor.trace import render_trace, verify_trace_text
 
 ETH = 10**18
@@ -110,6 +113,22 @@ def test_every_key_takes_every_extreme():
     for key in FUZZED_KEYS:
         for value in EXTREMES:
             assert _run_config_lines([(key, value)]) in (0, 2, 3), (key, value)
+
+
+def test_epochs_and_registry_size_take_every_extreme_at_validation():
+    # validation only: an accepted value is not run, which might not finish
+    for key in ("epochs", "registry_size"):
+        for value in EXTREMES + (str(MAX_REGISTRY_SIZE + 1),):
+            try:
+                config = parse_config(f"{key} = {value}\n")
+            except ConfigError:
+                continue  # exit 2
+            if key == "registry_size" and config.registry_size > MAX_REGISTRY_SIZE:
+                with pytest.raises(InvalidScenario, match="registry_size must be at most"):
+                    config.validate()
+                continue
+            with contextlib.suppress(InvalidScenario):  # exit 3
+                config.validate()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -1,7 +1,9 @@
-"""The forked VRF scorer: the loop and the child sign its work list from
-both ends, it changes no output, falls back to in-process scoring when it
-cannot run, and no run leaves its process behind."""
+"""The forked VRF scorer: the child writes each epoch's proofs from id 0
+up and the loop signs the rest from the top down, it changes no output,
+falls back to in-process scoring when it cannot run, and no run leaves
+its process behind."""
 
+import contextlib
 import dataclasses
 import os
 import threading
@@ -12,12 +14,12 @@ import pytest
 from vzor import netsim, sig
 from vzor.scenario import ScenarioConfig
 from vzor.trace import render_trace, verify_trace_text
-from vzor.vrf import SIGNATURE_BYTES
 
+from test_netsim import SMALL, _traced_peak, null_sink_run
 from test_trace import _edit_witness, _flip_signature_bit, _swap_signatures
 
 FRAUD = ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
-PROOFS = FRAUD.epochs * FRAUD.registry_size  # the work list: 300 sortition proofs
+PROOFS = FRAUD.epochs * FRAUD.registry_size  # 300 sortition proofs
 SORTITION = b"VZOR/vrf/v1\x00VZOR/sortition/v1\x00"  # every sortition message starts so
 
 
@@ -47,32 +49,42 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def split(monkeypatch, loop_signs=None):
+def split(monkeypatch, piped=None):
     """Count the sortition proofs this process signs, by any method, and the
-    proofs it reads from the scorer's pipe.  With ``loop_signs``, the pipe
-    looks empty until the loop has signed that many, and reads wait after."""
-    counts = {"signed": 0, "read": 0}
-    read = os.read
+    proofs its draws take from the scorer's pipe.  With ``piped``, the child
+    sleeps at that proof and the first draw waits (at most 10 s) until
+    the child has written every proof before it."""
+    counts, own = {"signed": 0, "piped": 0}, set()
 
     def counting(sign):
         def wrapper(self, message):
-            counts["signed"] += message.startswith(SORTITION)
-            return sign(self, message)
+            proof = sign(self, message)
+            if message.startswith(SORTITION):
+                counts["signed"] += 1
+                own.add(proof)
+            return proof
 
         return wrapper
 
-    def counted_read(fd, size):
-        if loop_signs is not None:
-            if counts["signed"] < loop_signs:
-                raise BlockingIOError
-            os.set_blocking(fd, True)
-        data = read(fd, size)
-        counts["read"] += len(data) / SIGNATURE_BYTES
-        return data
+    proofs, start = netsim._Scorer.proofs, netsim._Scorer._start
+
+    def counted_proofs(self, epoch, message):
+        drawn = proofs(self, epoch, message)
+        counts["piped"] += sum(proof not in own for proof in drawn)
+        return drawn
+
+    def start_then_wait(self, first_epoch):
+        start(self, first_epoch)
+        deadline = time.monotonic() + 10
+        while self._pid and self._words[1] < piped and time.monotonic() < deadline:
+            time.sleep(0.001)
 
     monkeypatch.setattr(sig.Signer, "sign", counting(sig.Signer.sign))
     monkeypatch.setattr(sig.Signer, "sign_unrecorded", counting(sig.Signer.sign_unrecorded))
-    monkeypatch.setattr(os, "read", counted_read)
+    monkeypatch.setattr(netsim._Scorer, "proofs", counted_proofs)
+    if piped is not None:
+        stop_child_at(monkeypatch, piped, lambda: time.sleep(60))
+        monkeypatch.setattr(netsim._Scorer, "_start", start_then_wait)
     return counts
 
 
@@ -191,8 +203,8 @@ def test_scorer_that_dies_early_leaves_the_rest_in_process(forked, monkeypatch, 
     stop_child_at(monkeypatch, 3 * FRAUD.registry_size, _die)  # at epoch 3's first proof
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
     assert forked == [1]
-    assert counts["read"] <= 3 * FRAUD.registry_size
-    assert counts["signed"] + counts["read"] == PROOFS
+    assert counts["piped"] <= 3 * FRAUD.registry_size
+    assert counts["signed"] + counts["piped"] == PROOFS
     assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     _assert_no_child()
 
@@ -213,28 +225,69 @@ def test_loop_signs_every_proof_while_the_scorer_sleeps(forked, monkeypatch, in_
     started = time.perf_counter()
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
     assert time.perf_counter() - started < 30  # the sleeping scorer was killed, not awaited
-    assert counts == {"signed": PROOFS, "read": 0}
-    # epoch 0's draw forked the child, met it and reaped it before epoch 1's
-    assert child_at_draw == [False] * FRAUD.epochs
+    assert counts == {"signed": PROOFS, "piped": 0}
+    # epoch 0's draw forked the child, which slept through every later draw
+    assert child_at_draw == [False] + [True] * (FRAUD.epochs - 1)
     assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     assert forked == [1]
     _assert_no_child()
 
 
 def test_ends_meet_inside_an_epoch(forked, monkeypatch, in_process_trace):
-    # the loop signs the last 167 proofs: epochs 5, 4 and 3 and the last 17
-    # of epoch 2, which takes its first 33 from the pipe
-    counts = split(monkeypatch, loop_signs=167)
+    # the child writes the first 133 proofs and sleeps; the loop signs the
+    # last 17 of epoch 2, which takes its first 33 from the pipe, and epochs
+    # 3, 4 and 5
+    counts = split(monkeypatch, piped=133)
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
-    assert counts == {"signed": 167, "read": PROOFS - 167}
+    assert counts == {"signed": PROOFS - 133, "piped": 133}
     assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
+    _assert_no_child()
+
+
+def test_forked_run_memory_does_not_follow_the_epoch_count(forked, monkeypatch):
+    # with the child asleep the loop signs every proof, and keeps none past
+    # the draw that uses it
+    stop_child_at(monkeypatch, 0, lambda: time.sleep(60))
+    config = dataclasses.replace(SMALL, registry_size=20, committee_size=5, quorum=3)
+    peaks = [
+        _traced_peak(null_sink_run, dataclasses.replace(config, epochs=epochs))
+        for epochs in (240, 960)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 2**19
+    _assert_no_child()
+
+
+def test_registry_wider_than_the_pipe_meets_a_late_child(forked, monkeypatch):
+    # an epoch of 1,100 proofs is more than a 64 KiB pipe holds: a child that
+    # wakes behind the loop says how far its zeros reach before it writes
+    # them, so the loop drains them and the child catches up
+    wide = dataclasses.replace(FRAUD, registry_size=1_100, epochs=40)
+    proofs = wide.epochs * wide.registry_size
+    with monkeypatch.context() as patch:
+        patch.setattr(netsim, "SCORER_MIN_SIGNS", proofs + 1)
+        in_process = render_trace(netsim.run(wide))
+    counts = split(monkeypatch)
+    stop_child_at(monkeypatch, 0, lambda: time.sleep(0.3))
+    assert render_trace(netsim.run(wide)) == in_process
+    assert forked == [1]
+    assert counts["piped"] >= proofs // 10
+    assert counts["signed"] + counts["piped"] == proofs
+    _assert_no_child()
+
+
+def test_epoch_count_beyond_64_bits_forks_its_scorer(forked):
+    # the shared words hold only what the run has reached
+    records = netsim.Simulator(ScenarioConfig(epochs=10**20)).epochs()
+    with contextlib.closing(records):
+        assert next(records).epoch == 0
+        assert forked == [1]
     _assert_no_child()
 
 
 def test_no_proof_is_signed_twice_in_the_loop(forked, monkeypatch, in_process_trace):
     counts = split(monkeypatch)
     assert render_trace(netsim.run(FRAUD)) == in_process_trace
-    assert counts["signed"] + counts["read"] == PROOFS
+    assert counts["signed"] + counts["piped"] == PROOFS
     _assert_no_child()
 
 

@@ -181,9 +181,9 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
     in_process = netsim.SCORER_MIN_SIGNS
     chosen = sig._keypair
     # in-process scoring first, then a forked scorer for the same run, then
-    # one whose loop signs the last 130 of the 300 proofs before the pipe
-    # delivers any; each signing with the backend chosen at import and with
-    # cryptography, the fallback
+    # one whose child writes the first 170 of the 300 proofs and sleeps, so
+    # that the loop signs the other 130; each signing with the backend
+    # chosen at import and with cryptography, the fallback
     for scoring, backend in itertools.product(("in-process", "forked", "split"), BACKENDS):
         monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", in_process if scoring == "in-process" else 0)
         monkeypatch.setattr(sig, "_keypair", chosen if backend == "chosen" else sig._openssl_keypair)
@@ -195,9 +195,9 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
             sig.reset()
             out = tmp_path / scoring / backend / mode
             with monkeypatch.context() as patch:
-                loop = split(patch, loop_signs=130) if scoring == "split" else None
+                loop = split(patch, piped=170) if scoring == "split" else None
                 assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-            assert loop is None or loop == {"signed": 130, "read": 170}
+            assert loop is None or loop == {"signed": 130, "piped": 170}
             outputs[scoring, backend, mode] = (out / "trace.txt").read_bytes()
             counts[scoring, backend, mode] = sig.counters()
             assert "slash_count = 3" in (out / "metrics.txt").read_text()
@@ -207,18 +207,18 @@ def test_real_verify_mode_gives_identical_trace(tmp_path, monkeypatch):
         assert memo.memo_hits > 0 and real.memo_hits == 0
         assert memo.signs == real.signs
         assert memo.memo_hits + memo.real_verifies == real.real_verifies
-        # the real-verify mode checks every proof the scorer made, at either
-        # end of its list, as it checks the proofs signed in-process
+        # the real-verify mode checks every proof the scorer made, in the
+        # child or in the loop, as it checks the proofs signed in-process
         assert counts[scoring, backend, "real"] == counts["in-process", "chosen", "real"]
         assert memo == counts["in-process", "chosen", "memo"]
 
 
 def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):
-    # a scorer that signs the wrong message, at either end of its work list,
+    # a scorer that signs the wrong message, in the child or in the loop,
     # makes proofs that do not verify; the memo trusts them as the run's own,
     # a real verify does not
-    message = netsim.sortition_signed_message
-    monkeypatch.setattr(netsim, "sortition_signed_message", lambda p, e: message(p, e) + b"!")
+    sign = sig.Signer.sign_unrecorded
+    monkeypatch.setattr(sig.Signer, "sign_unrecorded", lambda self, m: sign(self, m + b"!"))
     monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 0)
     monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
     sig.reset()
