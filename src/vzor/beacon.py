@@ -9,7 +9,7 @@ network dependency, so runs are reproducible bit-for-bit from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encoding import ZERO_DIGEST, be_u64, tagged_digest
 
@@ -20,29 +20,33 @@ _VALUE_TAG_A = "VZOR/pulse-val/v1/a"
 _VALUE_TAG_B = "VZOR/pulse-val/v1/b"
 
 
-@dataclass(frozen=True)
-class BeaconParams:
+class _BeaconParams(NamedTuple):
+    period_seconds: int = 60
+    min_entropy_bits: int = 256
+    seed: bytes = b"\x00" * 32
+
+
+class BeaconParams(_BeaconParams):
     """Beacon emission parameters: period, declared min-entropy, and seed.
 
     ``min_entropy_bits`` is a declared property of the source, not a
     measured quantity; it only feeds the joint-entropy lower bound.
     """
 
-    period_seconds: int = 60
-    min_entropy_bits: int = 256
-    seed: bytes = b"\x00" * 32
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "BeaconParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.period_seconds <= 0:
             raise ValueError("beacon period must be positive")
         if not 0 < self.min_entropy_bits <= 8 * VALUE_BYTES:
             raise ValueError("min entropy must be in (0, 512] bits")
         if len(self.seed) != 32:
             raise ValueError("beacon seed must be 32 bytes")
+        return self
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(NamedTuple):
     """One beacon emission.
 
     ``chain_digest`` covers the canonical serialization of the other four
@@ -88,8 +92,7 @@ def make_chain(params: BeaconParams, count: int) -> list[Pulse]:
     return pulses
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """Boolean verdict plus a diagnostic naming the first broken pulse."""
 
     ok: bool

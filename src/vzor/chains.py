@@ -17,7 +17,7 @@ verdict becomes final ``finality_blocks`` block times after arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import UnknownOperation
 from .oracle import AggregationParams
@@ -33,16 +33,20 @@ REQUIRED_OPS = (OP_VERIFY, OP_FRAUD, OP_GOVERNANCE)
 GAS_CEILING = 300_000  # hard per-call budget for on-chain proof verification
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Static parameters of one destination chain."""
-
+class _ChainConfig(NamedTuple):
     chain_id: str
     block_time_seconds: float
     finality_blocks: int
     gas_table: dict[str, int]
 
-    def __post_init__(self) -> None:
+
+class ChainConfig(_ChainConfig):
+    """Static parameters of one destination chain."""
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> "ChainConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.chain_id:
             raise ValueError("chain id must be non-empty")
         if self.block_time_seconds <= 0:
@@ -59,6 +63,7 @@ class ChainConfig:
             raise ValueError(
                 f"verify gas {self.gas_table[OP_VERIFY]} exceeds ceiling {GAS_CEILING}"
             )
+        return self
 
     @property
     def block_time_ms(self) -> int:
@@ -92,8 +97,7 @@ def scroll() -> ChainConfig:
 CHAIN_PRESETS = {"sepolia": sepolia, "scroll": scroll}
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     """Finalized outcome of one packet submission on one chain."""
 
     chain_id: str
@@ -104,15 +108,15 @@ class Receipt:
     final_ms: int  # simulated time at which the verdict is final
 
 
-@dataclass
 class Chain:
     """Mutable runtime state of one destination chain.
 
     Single-owner: mutated only by the simulation event loop.
     """
 
-    config: ChainConfig
-    gas_by_op: dict[str, int] = field(default_factory=dict)
+    def __init__(self, config: ChainConfig) -> None:
+        self.config = config
+        self.gas_by_op: dict[str, int] = {}
 
     @property
     def chain_id(self) -> str:

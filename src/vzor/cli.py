@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
 from typing import Iterator, Optional, TextIO
 
 from . import netsim, trace as trace_mod
@@ -66,7 +65,7 @@ def _atomic_write(path: str, text: str) -> None:
 def _load_scenario(config_path: Optional[str], seed: Optional[int]) -> ScenarioConfig:
     config = ScenarioConfig() if config_path is None else load_config(config_path)
     if seed is not None:
-        config = replace(config, seed=seed)
+        config = config._replace(seed=seed)
     return config
 
 
@@ -163,11 +162,9 @@ def cmd_sweep(
         chains = tuple(base.chains)
         rows = [trace_mod.csv_row(SWEEP_COLUMNS + tuple(f"gas_{c}" for c in chains))]
         for value in values:
-            config = replace(base, **{field: value})
+            config = base._replace(**{field: value})
             if parameter == "delta_net":
-                config = replace(
-                    config, delta_net_min_s=min(config.delta_net_min_s, float(value))
-                )
+                config = config._replace(delta_net_min_s=min(config.delta_net_min_s, float(value)))
             try:
                 sim = netsim.Simulator(config)
             except InvalidScenario as exc:

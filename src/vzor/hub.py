@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     AlreadyRegistered,
@@ -61,8 +60,7 @@ def wei_to_eth_text(wei: int) -> str:
     return str(_EXACT.divide(Decimal(wei), WEI_PER_ETH))
 
 
-@dataclass(frozen=True)
-class GovernedParams:
+class GovernedParams(NamedTuple):
     """Protocol parameters subject to delayed governance."""
 
     f_min: int
@@ -73,22 +71,21 @@ class GovernedParams:
     def with_update(self, param: str, value: int) -> "GovernedParams":
         if param not in _GOVERNED_FIELDS:
             raise UnknownParameter(f"{param!r} is not governed")
-        return replace(self, **{_GOVERNED_FIELDS[param]: value})
+        return self._replace(**{_GOVERNED_FIELDS[param]: value})
 
 
-@dataclass(frozen=True)
-class GovernanceUpdate:
+class GovernanceUpdate(NamedTuple):
     parameter: str
     value: int
     effective_epoch: int
 
 
-@dataclass
 class StakeLedger:
     """Reporter stakes in wei plus the burned-funds accumulator."""
 
-    entries: dict[int, int] = field(default_factory=dict)
-    burned_total: int = 0
+    def __init__(self) -> None:
+        self.entries: dict[int, int] = {}
+        self.burned_total = 0
 
     def register(self, reporter_id: int, stake: int, min_stake: int) -> None:
         if reporter_id in self.entries:
@@ -118,8 +115,7 @@ class StakeLedger:
         return sum(self.entries.values())
 
 
-@dataclass(frozen=True)
-class FraudProof:
+class FraudProof(NamedTuple):
     """Evidence against one packet: the packet itself plus inclusion
     proofs identifying the accused signatures in its witness."""
 
@@ -141,8 +137,7 @@ def accuse_all_signers(packet: OraclePacket, origin_chain: str) -> FraudProof:
     )
 
 
-@dataclass(frozen=True)
-class SlashReport:
+class SlashReport(NamedTuple):
     """Outcome of one fraud adjudication."""
 
     epoch: int

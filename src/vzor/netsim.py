@@ -27,11 +27,9 @@ import mmap
 import os
 import random
 import signal
-import statistics
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import sig
 from .beacon import BeaconParams, Pulse, next_pulse, pulse_value
@@ -84,8 +82,7 @@ def latency_bound_ms(config: ScenarioConfig) -> int:
     return tau_f + config.delta_net_max_ms + config.t_prove_ms + config.delta_net_max_ms
 
 
-@dataclass(frozen=True)
-class SlashInfo:
+class SlashInfo(NamedTuple):
     origin_chain: str
     emitted_ms: int
     applied_ms: int
@@ -95,8 +92,7 @@ class SlashInfo:
     total_cut: int
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     t0_ms: int
     pulse_digest: bytes
@@ -114,8 +110,7 @@ class EpochRecord:
         return tuple(rid for rid, _ in self.committee)
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     config: ScenarioConfig
     records: tuple[EpochRecord, ...]
     governance_records: tuple[GovernanceUpdate, ...]
@@ -125,18 +120,18 @@ class RunTrace:
     gas_totals: tuple[tuple[str, str, int], ...]  # (chain_id, op, total), fixed order
 
 
-@dataclass
 class _EpochState:
-    pulse: Pulse
-    truth: int  # the walk's value, which honest observations measure
-    committee: Optional[Committee] = None
-    agg: Optional[AggregationParams] = None
-    observations: list[SignedObservation] = field(default_factory=list)
-    packet: Optional[OraclePacket] = None
-    fraud_injected: bool = False
-    receipts: dict[str, Receipt] = field(default_factory=dict)
-    relay_scheduled: bool = False
-    slash: Optional[SlashInfo] = None
+    def __init__(self, pulse: Pulse, truth: int) -> None:
+        self.pulse = pulse
+        self.truth = truth  # the walk's value, which honest observations measure
+        self.committee: Optional[Committee] = None
+        self.agg: Optional[AggregationParams] = None
+        self.observations: list[SignedObservation] = []
+        self.packet: Optional[OraclePacket] = None
+        self.fraud_injected = False
+        self.receipts: dict[str, Receipt] = {}
+        self.relay_scheduled = False
+        self.slash: Optional[SlashInfo] = None
 
 
 class _Scorer:
@@ -486,8 +481,7 @@ def run(config: ScenarioConfig) -> RunTrace:
 # -- post-run analysis ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LivenessReport:
+class LivenessReport(NamedTuple):
     bound_ms: int
     slack_ms: int
     checked_epochs: int
@@ -530,6 +524,8 @@ class Tally:
         return LivenessReport(self.bound_ms, slack, self.checked, tuple(self.late))
 
     def metrics(self, gas_totals: tuple[tuple[str, str, int], ...]) -> MetricsSummary:
+        import statistics  # only here, so that start-up does not load it
+
         e2e, slashes = self.e2e, self.slash_ms
         return MetricsSummary(
             epochs=self.config.epochs,
@@ -548,8 +544,7 @@ def check_liveness(trace: RunTrace) -> LivenessReport:
     return Tally(trace.config, trace.records).liveness()
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     epochs: int
     accepted_epochs: int
     throughput_pps: float

@@ -10,7 +10,7 @@ cannot be replayed into another epoch or under another reporter's id.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sig
 from .encoding import be_i64, be_u64, domain_message, tagged_digest
@@ -23,20 +23,25 @@ _OBS_TAG = "VZOR/obs/v1"
 _PARAMS_TAG = "VZOR/aggparams/v1"
 
 
-@dataclass(frozen=True)
-class AggregationParams:
-    """Quorum, committee size, and accepted value range for one epoch."""
-
+class _AggregationParams(NamedTuple):
     quorum: int = 10
     committee_size: int = 15
     value_min: int = 1
     value_max: int = 10**12
 
-    def __post_init__(self) -> None:
+
+class AggregationParams(_AggregationParams):
+    """Quorum, committee size, and accepted value range for one epoch."""
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> "AggregationParams":
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.quorum <= self.committee_size:
             raise ValueError("need 1 <= quorum <= committee size")
         if self.value_min > self.value_max:
             raise ValueError("empty value range")
+        return self
 
     def digest(self) -> bytes:
         return self._digest
@@ -57,8 +62,7 @@ def observation_message(value: int, epoch: int, reporter_id: int) -> bytes:
     return domain_message(_OBS_TAG, be_i64(value), be_u64(epoch), be_u64(reporter_id))
 
 
-@dataclass(frozen=True)
-class SignedObservation:
+class SignedObservation(NamedTuple):
     """One reporter's value for one epoch, with its signature."""
 
     reporter_id: int

@@ -9,8 +9,7 @@ destination chain re-check the packet with :func:`vzor.proofs.verify`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .encoding import be_i64, be_u64, read_i64, read_u64, tagged_digest
 from .errors import DuplicateObservation, EpochMismatch, NonMember, QuorumNotMet
@@ -21,14 +20,15 @@ from .vrf import Committee
 _PACKET_TAG = "VZOR/packet/v1"
 
 
-@dataclass(frozen=True)
-class OraclePacket:
-    """One epoch's aggregated value with its proof and witness."""
-
+class _OraclePacket(NamedTuple):
     epoch: int
     median: int
     proof: ProofObject
     witness: Witness
+
+
+class OraclePacket(_OraclePacket):
+    """One epoch's aggregated value with its proof and witness."""
 
     def to_bytes(self) -> bytes:
         return self._bytes

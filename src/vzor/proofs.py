@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import sig
 from .encoding import DIGEST_BYTES, be_i64, be_u64, read_i64, read_u64, tagged_digest
@@ -34,8 +33,7 @@ _NODE_TAG = "VZOR/node/v1"
 _STMT_TAG = "VZOR/stmt/v1"
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(NamedTuple):
     """One committee member's attested value inside a witness.
 
     Canonical 80-byte record: reporter_id u64, value i64, signature 64B.
@@ -57,13 +55,14 @@ class WitnessEntry:
         return cls(reporter_id=read_u64(buf, 0), value=read_i64(buf, 8), signature=buf[16:])
 
 
-@dataclass(frozen=True)
-class Witness:
-    """All signatures behind one packet, sorted by reporter id."""
-
+class _Witness(NamedTuple):
     epoch: int
     committee_digest: bytes
     entries: tuple[WitnessEntry, ...]
+
+
+class Witness(_Witness):
+    """All signatures behind one packet, sorted by reporter id."""
 
     def values(self) -> list[int]:
         return [e.value for e in self.entries]
@@ -136,8 +135,7 @@ def witness_root(witness: Witness) -> bytes:
     return witness._tree[-1][0]
 
 
-@dataclass(frozen=True)
-class InclusionProof:
+class InclusionProof(NamedTuple):
     """Sibling path from one witness entry up to the witness root."""
 
     index: int
@@ -177,8 +175,7 @@ def statement_digest(
     )
 
 
-@dataclass(frozen=True)
-class ProofObject:
+class ProofObject(NamedTuple):
     """Succinct commitment a packet carries: statement plus witness root.
 
     Canonical binary form is the 64-byte concatenation of the two digests.
@@ -232,8 +229,7 @@ class Failure(enum.Enum):
     COMMITMENT_MISMATCH = "CommitmentMismatch"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     """Outcome of packet verification; truthy iff the packet is accepted."""
 
     accepted: bool
@@ -274,15 +270,15 @@ def verify(
 
     The packet keeps the verdict of its last full check, with the committee
     and parameters it checked.  A call with those three objects, compared by
-    identity (all are frozen), returns that verdict: a second chain or the
-    hub's re-check adds no work.  Any other object, such as a decoded or
-    altered copy, is checked in full.
+    identity (no field of any can be reassigned), returns that verdict: a
+    second chain or the hub's re-check adds no work.  Any other object, such
+    as a decoded or altered copy, ``_replace`` copies included, is checked in full.
     """
     last = getattr(packet, "_verdict", None)
     if last is not None and last[0] is committee and last[1] is params:
         return last[2]
     result = _check(packet, committee, params)
-    object.__setattr__(packet, "_verdict", (committee, params, result))
+    packet._verdict = (committee, params, result)
     return result
 
 

@@ -14,9 +14,8 @@ ETH text.
 from __future__ import annotations
 
 import math
-from dataclasses import Field, dataclass, field, fields
 from decimal import InvalidOperation
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .chains import CHAIN_PRESETS
 from .errors import ConfigError, InvalidScenario
@@ -32,15 +31,13 @@ BEHAVIORS = ("honest", "wrong_value", "wrong_median_packet", "withhold")
 MAX_REGISTRY_SIZE = 100_000
 
 
-@dataclass(frozen=True)
-class GovernanceItem:
+class GovernanceItem(NamedTuple):
     parameter: str
     value: int  # wei for s_cut / S_min, plain count for f_min / n
     at_epoch: int
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int = 42
     epochs: int = 480
     epoch_interval_s: float = 30.0
@@ -63,7 +60,7 @@ class ScenarioConfig:
     min_stake_wei: int = DEFAULT_MIN_STAKE
     slash_cut_wei: int = DEFAULT_SLASH_CUT
     governance_delay_epochs: int = DEFAULT_GOVERNANCE_DELAY
-    governance: tuple[GovernanceItem, ...] = field(default_factory=tuple)
+    governance: tuple[GovernanceItem, ...] = ()
 
     # -- derived views ---------------------------------------------------------
 
@@ -224,20 +221,21 @@ def _parse_chains(text: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
-def _codec(f: Field) -> tuple[str, tuple[str, Callable[[str], Any], Callable[[Any], str]]]:
-    """(file key, (field name, parse, render)) for one ScenarioConfig field.
-    Amounts held in wei are written in ETH under a ``*_eth`` key."""
-    if f.name == "chains":
-        return f.name, (f.name, _parse_chains, ",".join)
-    if f.name == "governance":
-        return f.name, (f.name, _parse_governance, _governance_text)
-    if f.name.endswith("_wei"):
-        return f.name[: -len("_wei")] + "_eth", (f.name, eth_to_wei, wei_to_eth_text)
-    return f.name, (f.name, {"int": int, "float": float, "str": str}[f.type], str)
+def _codec(name: str) -> tuple[str, tuple[str, Callable[[str], Any], Callable[[Any], str]]]:
+    """(file key, (field name, parse, render)) for one ScenarioConfig field,
+    parsed as the type of its default.  Amounts held in wei are written in
+    ETH under a ``*_eth`` key."""
+    if name == "chains":
+        return name, (name, _parse_chains, ",".join)
+    if name == "governance":
+        return name, (name, _parse_governance, _governance_text)
+    if name.endswith("_wei"):
+        return name[: -len("_wei")] + "_eth", (name, eth_to_wei, wei_to_eth_text)
+    return name, (name, type(ScenarioConfig._field_defaults[name]), str)
 
 
 # every file key in ScenarioConfig field order, the order canonical_text writes
-_KEYS = dict(map(_codec, fields(ScenarioConfig)))
+_KEYS = dict(map(_codec, ScenarioConfig._fields))
 
 
 def parse_config(text: str) -> ScenarioConfig:

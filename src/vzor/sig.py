@@ -53,7 +53,6 @@ as a sign, so the counts do not depend on which process signed.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import os
 from collections import OrderedDict
 from typing import Callable
@@ -71,13 +70,17 @@ DEFAULT_MEMO_CAP = 8192
 MEMO_CAP = DEFAULT_MEMO_CAP
 
 
-@dataclasses.dataclass
 class Counters:
     """Ed25519 work done so far in this process."""
 
-    signs: int = 0
-    real_verifies: int = 0
-    memo_hits: int = 0
+    def __init__(self, signs: int = 0, real_verifies: int = 0, memo_hits: int = 0) -> None:
+        self.signs, self.real_verifies, self.memo_hits = signs, real_verifies, memo_hits
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Counters) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "Counters(" + ", ".join(f"{k}={v}" for k, v in vars(self).items()) + ")"
 
 
 _counters = Counters()
@@ -219,7 +222,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def counters() -> Counters:
-    return dataclasses.replace(_counters)
+    return Counters(**vars(_counters))
 
 
 def memo_size() -> int:

@@ -26,8 +26,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from . import netsim
 from .errors import TraceCorruption
@@ -225,8 +224,7 @@ def _blocks(line: str, lines: Iterator[str]) -> Iterator[tuple[int, str]]:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceCheck:
+class TraceCheck(NamedTuple):
     exit_code: int  # 0 ok, 2 corruption, 4 outcome mismatch
     problems: tuple[str, ...]
 

@@ -16,8 +16,7 @@ epoch's entropy pulse, and the ``n`` smallest scores form the committee,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import sig
 from .beacon import Pulse
@@ -35,18 +34,23 @@ _SORTITION_TAG = "VZOR/sortition/v1"
 _COMMITTEE_TAG = "VZOR/committee/v1"
 
 
-@dataclass(frozen=True)
-class ReporterIdentity:
-    """Public half of a reporter: small integer id plus verification key."""
-
+class _ReporterIdentity(NamedTuple):
     id: int
     public_key: bytes
 
-    def __post_init__(self) -> None:
+
+class ReporterIdentity(_ReporterIdentity):
+    """Public half of a reporter: small integer id plus verification key."""
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> "ReporterIdentity":
+        self = super().__new__(cls, *args, **kwargs)
         if self.id < 0:
             raise ValueError("reporter id must be non-negative")
         if len(self.public_key) != PUBLIC_KEY_BYTES:
             raise ValueError("public key must be 32 bytes")
+        return self
 
 
 class ReporterSecret:
@@ -72,8 +76,7 @@ class ReporterSecret:
         return self._identity
 
 
-@dataclass(frozen=True)
-class VrfOutput:
+class VrfOutput(NamedTuple):
     """Sortition score with its verifiability proof.
 
     ``value`` is the 256-bit score, ``proof`` the deterministic signature
@@ -101,13 +104,14 @@ def sortition_input(pulse_value: bytes, epoch: int) -> bytes:
     return domain_message(_SORTITION_TAG, pulse_value, be_u64(epoch))
 
 
-@dataclass(frozen=True)
-class Committee:
-    """Epoch committee: the selected identities in score order, id as tiebreak.
-    :func:`select_committee` checks the scores and drops them."""
-
+class _Committee(NamedTuple):
     epoch: int
     members: tuple[ReporterIdentity, ...]
+
+
+class Committee(_Committee):
+    """Epoch committee: the selected identities in score order, id as tiebreak.
+    :func:`select_committee` checks the scores and drops them."""
 
     def member_ids(self) -> tuple[int, ...]:
         return tuple(ident.id for ident in self.members)

@@ -3,7 +3,6 @@ and the single-field packet mutation engine used by soundness tests."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -74,15 +73,13 @@ def _flip_byte(data: bytes, index: int) -> bytes:
 
 
 def _with_witness(packet: OraclePacket, witness: Witness) -> OraclePacket:
-    return dataclasses.replace(packet, witness=witness)
+    return packet._replace(witness=witness)
 
 
 def _with_entry(packet: OraclePacket, index: int, entry: WitnessEntry) -> OraclePacket:
     entries = list(packet.witness.entries)
     entries[index] = entry
-    return _with_witness(
-        packet, dataclasses.replace(packet.witness, entries=tuple(entries))
-    )
+    return _with_witness(packet, packet.witness._replace(entries=tuple(entries)))
 
 
 MUTATION_KINDS = (
@@ -106,54 +103,39 @@ def mutate_packet(packet: OraclePacket, kind: str, rng: random.Random) -> Oracle
     index = rng.randrange(len(witness.entries))
     entry = witness.entries[index]
     if kind == "median":
-        return dataclasses.replace(packet, median=packet.median + rng.choice([-1, 1, 7]))
+        return packet._replace(median=packet.median + rng.choice([-1, 1, 7]))
     if kind == "packet_epoch":
-        return dataclasses.replace(packet, epoch=packet.epoch + rng.randint(1, 5))
+        return packet._replace(epoch=packet.epoch + rng.randint(1, 5))
     if kind == "witness_epoch":
-        return _with_witness(
-            packet, dataclasses.replace(witness, epoch=witness.epoch + rng.randint(1, 5))
-        )
+        return _with_witness(packet, witness._replace(epoch=witness.epoch + rng.randint(1, 5)))
     if kind == "entry_value":
-        return _with_entry(
-            packet, index, dataclasses.replace(entry, value=entry.value + rng.randint(1, 99))
-        )
+        return _with_entry(packet, index, entry._replace(value=entry.value + rng.randint(1, 99)))
     if kind == "entry_signature":
-        return _with_entry(
-            packet,
-            index,
-            dataclasses.replace(
-                entry, signature=_flip_byte(entry.signature, rng.randrange(64))
-            ),
-        )
+        flipped = _flip_byte(entry.signature, rng.randrange(64))
+        return _with_entry(packet, index, entry._replace(signature=flipped))
     if kind == "entry_id":
-        return _with_entry(
-            packet, index, dataclasses.replace(entry, reporter_id=entry.reporter_id + 1000)
-        )
+        return _with_entry(packet, index, entry._replace(reporter_id=entry.reporter_id + 1000))
     if kind == "witness_root":
         proof = ProofObject(
             statement=packet.proof.statement,
             witness_root=_flip_byte(packet.proof.witness_root, rng.randrange(32)),
         )
-        return dataclasses.replace(packet, proof=proof)
+        return packet._replace(proof=proof)
     if kind == "statement":
         proof = ProofObject(
             statement=_flip_byte(packet.proof.statement, rng.randrange(32)),
             witness_root=packet.proof.witness_root,
         )
-        return dataclasses.replace(packet, proof=proof)
+        return packet._replace(proof=proof)
     if kind == "committee_digest":
-        return _with_witness(
-            packet,
-            dataclasses.replace(
-                witness, committee_digest=_flip_byte(witness.committee_digest, rng.randrange(32))
-            ),
-        )
+        flipped = _flip_byte(witness.committee_digest, rng.randrange(32))
+        return _with_witness(packet, witness._replace(committee_digest=flipped))
     if kind == "drop_entry":
         entries = list(witness.entries)
         del entries[index]
-        return _with_witness(packet, dataclasses.replace(witness, entries=tuple(entries)))
+        return _with_witness(packet, witness._replace(entries=tuple(entries)))
     if kind == "duplicate_entry":
         entries = list(witness.entries)
         entries.insert(index, entry)
-        return _with_witness(packet, dataclasses.replace(witness, entries=tuple(entries)))
+        return _with_witness(packet, witness._replace(entries=tuple(entries)))
     raise ValueError(f"unknown mutation kind {kind!r}")

@@ -5,7 +5,6 @@ them inline) and then asserts, so the suite both reports and enforces.
 The heavyweight 480-epoch scenarios are shared module fixtures.
 """
 
-import dataclasses
 import random
 import statistics
 import time
@@ -189,7 +188,7 @@ def test_criterion_05_pulse_sensitivity(key_pool):
     changed = 0
     for trial in range(trials):
         pulse = pulses[trial]
-        flipped = dataclasses.replace(pulse, value=_flip_bit(pulse.value, trial % 512))
+        flipped = pulse._replace(value=_flip_bit(pulse.value, trial % 512))
         base = select_committee(pulse, trial, evaluate_registry(key_pool, pulse, trial), 15)
         other = select_committee(flipped, trial, evaluate_registry(key_pool, flipped, trial), 15)
         if set(base.member_ids()) != set(other.member_ids()):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,7 +55,7 @@ def test_tampered_pulse_detected(field_name):
     victim = chain[5]
     original = getattr(victim, field_name)
     tampered = bytes([original[0] ^ 1]) + original[1:]
-    chain[5] = dataclasses.replace(victim, **{field_name: tampered})
+    chain[5] = victim._replace(**{field_name: tampered})
     check = verify_chain(chain)
     assert not check
     assert "5" in check.failure
@@ -65,7 +63,7 @@ def test_tampered_pulse_detected(field_name):
 
 def test_tampered_timestamp_detected():
     chain = make_chain(PARAMS, 6)
-    chain[3] = dataclasses.replace(chain[3], timestamp=chain[3].timestamp + 1)
+    chain[3] = chain[3]._replace(timestamp=chain[3].timestamp + 1)
     assert not verify_chain(chain)
 
 
@@ -102,7 +100,7 @@ def test_any_single_value_corruption_detected(length, position):
     victim = chain[length % 8]
     corrupted = bytearray(victim.value)
     corrupted[position] ^= 0xFF
-    chain[length % 8] = dataclasses.replace(victim, value=bytes(corrupted))
+    chain[length % 8] = victim._replace(value=bytes(corrupted))
     assert not verify_chain(chain)
 
 

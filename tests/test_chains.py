@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -128,7 +127,7 @@ def test_charge_accumulates_by_operation():
 
 
 def test_finality_time_follows_block_time():
-    slow = dataclasses.replace(sepolia(), finality_blocks=3)
+    slow = sepolia()._replace(finality_blocks=3)
     assert slow.finality_ms == 45_000
     assert scroll().finality_ms == 2_000
     assert sepolia().block_time_ms == 15_000

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -25,6 +28,16 @@ def run_dir(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", config, "--out", str(out)]) == 0
     return out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # start-up time in every vzor process: importing dataclasses alone takes about 7 ms
+    code = "import sys, vzor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sig.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_run_writes_outputs(run_dir, capsys):

@@ -7,7 +7,6 @@ setup (key generation) and the event loop, which makes each pulse and
 truth value as the clock reaches it.
 """
 
-import dataclasses
 import functools
 import os
 import sys
@@ -149,7 +148,7 @@ def test_governance_schedule_is_applied_once_per_hub(epochs, monkeypatch):
     # a run and verify-trace each build one hub, validate's, which the
     # simulator keeps, and apply each update there once; neither count
     # follows the epoch count
-    config = dataclasses.replace(HONEST, epochs=epochs, governance=SCHEDULE)
+    config = HONEST._replace(epochs=epochs, governance=SCHEDULE)
     calls = []
     with_update = GovernedParams.with_update
     monkeypatch.setattr(
@@ -166,7 +165,7 @@ def test_each_command_builds_one_hub_per_run(tmp_path, monkeypatch):
     # run, verify-trace and each sweep value: the hub validate returns is
     # the one the simulator runs and the trace head reads
     scenario = tmp_path / "scenario.txt"
-    scenario.write_text(canonical_text(dataclasses.replace(HONEST, governance=SCHEDULE)))
+    scenario.write_text(canonical_text(HONEST._replace(governance=SCHEDULE)))
     hubs = []
     init = Hub.__init__
     monkeypatch.setattr(Hub, "__init__", lambda *a, **kw: hubs.append(1) or init(*a, **kw))

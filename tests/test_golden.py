@@ -8,7 +8,6 @@ behaviour, so a refactor must leave them alone.  The beacon-period fix
 that change updates this table together with the code.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -22,10 +21,8 @@ BASE = ScenarioConfig(epochs=48)
 
 SCENARIOS = {
     "honest": BASE,
-    "wrong_median_packet": dataclasses.replace(
-        BASE, adversary_behavior="wrong_median_packet", fraud_period=2
-    ),
-    "wrong_value": dataclasses.replace(BASE, adversary_behavior="wrong_value", adversary_count=5),
+    "wrong_median_packet": BASE._replace(adversary_behavior="wrong_median_packet", fraud_period=2),
+    "wrong_value": BASE._replace(adversary_behavior="wrong_value", adversary_count=5),
 }
 
 # (trace.txt, epochs.csv, metrics.txt)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -283,7 +282,7 @@ def test_tampered_copy_of_an_accepted_packet_is_checked_in_full(make_packet, agg
     # copy of it must not read that verdict, and is handled as any lying packet
     packet, committee = make_packet(epoch=4)
     assert verify(packet, committee, agg_params)
-    lying = dataclasses.replace(packet, median=packet.median + 1)
+    lying = packet._replace(median=packet.median + 1)
     hub = _hub_with_pool(range(50))
     report = hub.adjudicate(accuse_all_signers(lying, "sepolia"), committee, agg_params)
     assert report.rejected_reason is None
@@ -324,7 +323,7 @@ def test_unproven_accusation_is_skipped(make_packet, agg_params):
     lying, committee = _fraud_case(make_packet)
     proof = accuse_all_signers(lying, "sepolia")
     entry, path = proof.inclusion[0]
-    framed = dataclasses.replace(entry, value=entry.value + 1)  # path no longer verifies
+    framed = entry._replace(value=entry.value + 1)  # path no longer verifies
     tampered = FraudProof(
         lying, lying.epoch, ((framed, path),) + proof.inclusion[1:], "sepolia"
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -22,7 +21,7 @@ BASE = ScenarioConfig(seed=7, epochs=12, registry_size=50)
 
 
 def _scenario(**overrides):
-    return dataclasses.replace(BASE, **overrides)
+    return BASE._replace(**overrides)
 
 
 def test_key_seed_is_deterministic_and_distinct():
@@ -281,7 +280,7 @@ SMALL = ScenarioConfig(seed=7, registry_size=5, committee_size=3, quorum=2, chai
 
 def test_no_event_fires_at_a_pulse_ms_before_that_pulse(monkeypatch):
     # pulses 1 ms apart: epoch e's build lands on pulse e + 2,830's ms
-    config = dataclasses.replace(SMALL, epochs=2_900, epoch_interval_s=0.001)
+    config = SMALL._replace(epochs=2_900, epoch_interval_s=0.001)
     assert config.delta_net_max_ms + config.t_prove_ms == 2_830
     pulsed, early = [], []
 
@@ -326,7 +325,7 @@ def null_sink_run(config):
 
 def test_run_memory_does_not_follow_the_epoch_count():
     peaks = [
-        _traced_peak(null_sink_run, dataclasses.replace(SMALL, epochs=epochs))
+        _traced_peak(null_sink_run, SMALL._replace(epochs=epochs))
         for epochs in (480, 1_920)
     ]
     assert abs(peaks[1] - peaks[0]) < 2**19

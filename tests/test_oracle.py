@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,14 +73,14 @@ def test_verify_rejects_wrong_key(key_pool, agg_params):
 @pytest.mark.parametrize("field", ["value", "epoch", "reporter_id"])
 def test_verify_rejects_field_tamper(key_pool, agg_params, field):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
-    tampered = dataclasses.replace(obs, **{field: getattr(obs, field) + 1})
+    tampered = obs._replace(**{field: getattr(obs, field) + 1})
     assert not verify_observation(key_pool[4].public_key(), tampered, agg_params)
 
 
 def test_verify_rejects_flipped_signature(key_pool, agg_params):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
     bad = obs.signature[:10] + bytes([obs.signature[10] ^ 1]) + obs.signature[11:]
-    assert not verify_observation(key_pool[4].public_key(), dataclasses.replace(obs, signature=bad), agg_params)
+    assert not verify_observation(key_pool[4].public_key(), obs._replace(signature=bad), agg_params)
 
 
 def test_sign_rejects_out_of_range(key_pool, agg_params):
@@ -162,9 +160,7 @@ def test_collect_witness_drops_bad_signature(key_pool, draw_committee, agg_param
     committee = draw_committee(1)
     observations = _observe_all(key_pool, committee, agg_params, 1)
     sig = observations[3].signature
-    observations[3] = dataclasses.replace(
-        observations[3], signature=sig[:-1] + bytes([sig[-1] ^ 1])
-    )
+    observations[3] = observations[3]._replace(signature=sig[:-1] + bytes([sig[-1] ^ 1]))
     witness = collect_witness(observations, committee, agg_params)
     assert len(witness.entries) == len(committee.members) - 1
     assert observations[3].reporter_id not in {e.reporter_id for e in witness.entries}

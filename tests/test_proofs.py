@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vzor import sig
+from vzor.beacon import Pulse
 from vzor.errors import MalformedWitness
 from vzor.oracle import AggregationParams, sign_observation
 from vzor.packets import OraclePacket, build_packet
@@ -119,10 +119,9 @@ def test_inclusion_rejects_wrong_entry_root_or_index():
 
 def test_root_changes_with_any_entry():
     base = _witness([1, 2, 3, 4])
-    bumped = dataclasses.replace(
-        base,
+    bumped = base._replace(
         entries=base.entries[:2]
-        + (dataclasses.replace(base.entries[2], value=101),)
+        + (base.entries[2]._replace(value=101),)
         + base.entries[3:],
     )
     assert witness_root(base) != witness_root(bumped)
@@ -178,23 +177,19 @@ def test_stage_malformed_out_of_order(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
     entries = list(packet.witness.entries)
     entries[0], entries[1] = entries[1], entries[0]
-    bad = dataclasses.replace(
-        packet, witness=dataclasses.replace(packet.witness, entries=tuple(entries))
-    )
+    bad = packet._replace(witness=packet.witness._replace(entries=tuple(entries)))
     assert verify(bad, committee, agg_params).failure is Failure.MALFORMED
 
 
 def test_stage_malformed_empty_witness(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
-    bad = dataclasses.replace(
-        packet, witness=dataclasses.replace(packet.witness, entries=())
-    )
+    bad = packet._replace(witness=packet.witness._replace(entries=()))
     assert verify(bad, committee, agg_params).failure is Failure.MALFORMED
 
 
 def test_stage_epoch_mismatch(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
-    bad = dataclasses.replace(packet, epoch=2)
+    bad = packet._replace(epoch=2)
     assert verify(bad, committee, agg_params).failure is Failure.EPOCH_MISMATCH
 
 
@@ -206,9 +201,7 @@ def test_stage_epoch_mismatch_foreign_committee(make_packet, draw_committee, agg
 def test_stage_quorum_not_met(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
     trimmed = packet.witness.entries[: agg_params.quorum - 1]
-    bad = dataclasses.replace(
-        packet, witness=dataclasses.replace(packet.witness, entries=trimmed)
-    )
+    bad = packet._replace(witness=packet.witness._replace(entries=trimmed))
     result = verify(bad, committee, agg_params)
     assert result.failure is Failure.QUORUM_NOT_MET
 
@@ -216,10 +209,8 @@ def test_stage_quorum_not_met(make_packet, agg_params):
 def test_stage_non_member_names_culprit(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
     entries = list(packet.witness.entries)
-    entries[-1] = dataclasses.replace(entries[-1], reporter_id=4294967296)
-    bad = dataclasses.replace(
-        packet, witness=dataclasses.replace(packet.witness, entries=tuple(entries))
-    )
+    entries[-1] = entries[-1]._replace(reporter_id=4294967296)
+    bad = packet._replace(witness=packet.witness._replace(entries=tuple(entries)))
     result = verify(bad, committee, agg_params)
     assert result.failure is Failure.NON_MEMBER
     assert result.culprit == 4294967296
@@ -230,10 +221,8 @@ def test_stage_bad_signature_names_culprit(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
     entries = list(packet.witness.entries)
     sig = entries[2].signature
-    entries[2] = dataclasses.replace(entries[2], signature=sig[:5] + bytes([sig[5] ^ 1]) + sig[6:])
-    bad = dataclasses.replace(
-        packet, witness=dataclasses.replace(packet.witness, entries=tuple(entries))
-    )
+    entries[2] = entries[2]._replace(signature=sig[:5] + bytes([sig[5] ^ 1]) + sig[6:])
+    bad = packet._replace(witness=packet.witness._replace(entries=tuple(entries)))
     result = verify(bad, committee, agg_params)
     assert result.failure is Failure.BAD_SIGNATURE
     assert result.culprit == entries[2].reporter_id
@@ -258,7 +247,7 @@ def test_stage_range_violation(key_pool, draw_committee):
 
 def test_stage_wrong_median(make_packet, agg_params):
     packet, committee = make_packet(epoch=1)
-    bad = dataclasses.replace(packet, median=packet.median + 1)
+    bad = packet._replace(median=packet.median + 1)
     assert verify(bad, committee, agg_params).failure is Failure.WRONG_MEDIAN
 
 
@@ -284,6 +273,39 @@ def test_any_single_mutation_is_rejected(make_packet, agg_params, kind, seed):
 # -- the verdict a packet stores ---------------------------------------------------
 
 
+def test_a_copy_carries_no_stored_verdict_or_cache(make_packet, agg_params):
+    packet, committee = make_packet(epoch=1)
+    assert verify(packet, committee, agg_params)
+    packet.to_bytes()
+    assert {"_verdict", "_bytes"} <= set(vars(packet)) and "_tree" in vars(packet.witness)
+    lying = packet._replace(median=packet.median + 1)
+    assert vars(lying) == {}
+    assert lying.to_bytes() != packet.to_bytes()
+    assert verify(lying, committee, agg_params).failure is Failure.WRONG_MEDIAN
+    entries = list(packet.witness.entries)
+    entries[3] = entries[3]._replace(value=entries[3].value + 1)
+    witness = packet.witness._replace(entries=tuple(entries))
+    assert vars(witness) == {}
+    assert witness_root(witness) != packet.proof.witness_root
+    forged = packet._replace(witness=witness)
+    result = verify(forged, committee, agg_params)
+    assert (result.failure, result.culprit) == (Failure.BAD_SIGNATURE, entries[3].reporter_id)
+    assert verify(packet, committee, agg_params)  # the original keeps its verdict
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Pulse(0, 0, bytes(64), bytes(32), bytes(32)), "value"),  # a NamedTuple
+        (AggregationParams(), "quorum"),  # a NamedTuple subclass that checks its fields
+        (_witness([1, 2]), "entries"),  # one that caches on the instance
+    ],
+)
+def test_a_record_field_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
 def _mutate_committee(committee: Committee, kind: str, rng: random.Random) -> Committee:
     members = list(committee.members)
     index = rng.randrange(len(members))
@@ -300,12 +322,12 @@ def _mutate_committee(committee: Committee, kind: str, rng: random.Random) -> Co
 
 def _mutate_params(params: AggregationParams, kind: str, rng: random.Random) -> AggregationParams:
     if kind == "quorum":
-        return dataclasses.replace(params, quorum=params.committee_size)
+        return params._replace(quorum=params.committee_size)
     if kind == "committee_size":
-        return dataclasses.replace(params, committee_size=params.committee_size + 1)
+        return params._replace(committee_size=params.committee_size + 1)
     if kind == "value_max":
-        return dataclasses.replace(params, value_max=10_000 + 13 * rng.randrange(15))
-    return dataclasses.replace(params)  # an equal copy
+        return params._replace(value_max=10_000 + 13 * rng.randrange(15))
+    return params._replace()  # an equal copy
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -131,21 +129,19 @@ def test_behaviors_enumeration():
     ],
 )
 def test_validate_rejects(overrides):
-    config = dataclasses.replace(ScenarioConfig(), **overrides)
+    config = ScenarioConfig()._replace(**overrides)
     with pytest.raises(InvalidScenario):
         config.validate()
 
 
 def test_governance_timeline_composes():
     # n grows first, then the quorum can follow it up
-    config = dataclasses.replace(
-        ScenarioConfig(),
+    config = ScenarioConfig()._replace(
         governance=(GovernanceItem("n", 21, 2), GovernanceItem("f_min", 16, 4)),
     )
     config.validate()
     # out of order the quorum update lands before n has grown
-    config = dataclasses.replace(
-        ScenarioConfig(),
+    config = ScenarioConfig()._replace(
         governance=(GovernanceItem("f_min", 16, 2), GovernanceItem("n", 21, 4)),
     )
     with pytest.raises(InvalidScenario):
@@ -162,7 +158,7 @@ def test_governance_timeline_composes():
 def test_same_epoch_updates_are_checked_together(governance):
     # both orders give f_min = 8, n = 9 from epoch 5 on; the bounds are
     # checked once the epoch's updates are all in, not after each one
-    config = dataclasses.replace(ScenarioConfig(), governance=governance)
+    config = ScenarioConfig()._replace(governance=governance)
     params = config.validate().effective_params(5)
     assert (params.f_min, params.n) == (8, 9)
 
@@ -181,8 +177,7 @@ def test_same_epoch_updates_are_checked_together(governance):
 )
 def test_validate_rejects_exactly_the_hubs_broken_epochs(governance, delay):
     # the bounds must hold at every epoch of the timeline the run's hub applies
-    config = dataclasses.replace(
-        ScenarioConfig(),
+    config = ScenarioConfig()._replace(
         registry_size=20,
         governance_delay_epochs=delay,
         governance=tuple(governance),
@@ -202,7 +197,7 @@ def test_validate_rejects_exactly_the_hubs_broken_epochs(governance, delay):
 
 
 def test_controlled_ids():
-    config = dataclasses.replace(ScenarioConfig(), adversary_count=5)
+    config = ScenarioConfig()._replace(adversary_count=5)
     assert config.controlled_ids() == frozenset(range(5))
     assert ScenarioConfig().controlled_ids() == frozenset()
 

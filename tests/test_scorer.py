@@ -4,7 +4,6 @@ falls back to in-process scoring when it cannot run, and no run leaves
 its process behind."""
 
 import contextlib
-import dataclasses
 import os
 import threading
 import time
@@ -137,7 +136,7 @@ def test_bad_block_stops_the_replay_at_its_epoch(forked, in_process_trace):
 
 
 def test_flipped_signature_stops_a_long_replay_at_its_epoch(forked):
-    text = render_trace(netsim.run(dataclasses.replace(FRAUD, epochs=48)))
+    text = render_trace(netsim.run(FRAUD._replace(epochs=48)))
     sig.reset()
     check = verify_trace_text(_edit_witness(text, 3, _flip_signature_bit))
     assert check.exit_code == 4
@@ -248,9 +247,9 @@ def test_forked_run_memory_does_not_follow_the_epoch_count(forked, monkeypatch):
     # with the child asleep the loop signs every proof, and keeps none past
     # the draw that uses it
     stop_child_at(monkeypatch, 0, lambda: time.sleep(60))
-    config = dataclasses.replace(SMALL, registry_size=20, committee_size=5, quorum=3)
+    config = SMALL._replace(registry_size=20, committee_size=5, quorum=3)
     peaks = [
-        _traced_peak(null_sink_run, dataclasses.replace(config, epochs=epochs))
+        _traced_peak(null_sink_run, config._replace(epochs=epochs))
         for epochs in (240, 960)
     ]
     assert abs(peaks[1] - peaks[0]) < 2**19
@@ -261,7 +260,7 @@ def test_registry_wider_than_the_pipe_meets_a_late_child(forked, monkeypatch):
     # an epoch of 1,100 proofs is more than a 64 KiB pipe holds: a child that
     # wakes behind the loop says how far its zeros reach before it writes
     # them, so the loop drains them and the child catches up
-    wide = dataclasses.replace(FRAUD, registry_size=1_100, epochs=40)
+    wide = FRAUD._replace(registry_size=1_100, epochs=40)
     proofs = wide.epochs * wide.registry_size
     with monkeypatch.context() as patch:
         patch.setattr(netsim, "SCORER_MIN_SIGNS", proofs + 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import random
@@ -38,8 +37,7 @@ def honest_trace():
 @pytest.fixture(scope="module")
 def fraud_trace():
     return netsim.run(
-        dataclasses.replace(
-            BASE,
+        BASE._replace(
             adversary_behavior="wrong_median_packet",
             fraud_period=5,
             governance=(GovernanceItem("f_min", 11, 1),),
@@ -133,7 +131,7 @@ def test_streamed_outputs_equal_the_rendered_run(tmp_path, fraud_trace, capsys):
     assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     for n, row in zip((11, 15), rows):
-        run_trace = netsim.run(dataclasses.replace(fraud_trace.config, committee_size=n))
+        run_trace = netsim.run(fraud_trace.config._replace(committee_size=n))
         _assert_streamed(tmp_path / "sweep" / f"n_{n}", run_trace)
         summary = netsim.metrics(run_trace)
         liveness = netsim.check_liveness(run_trace)
@@ -272,8 +270,7 @@ def test_verdict_is_checked_under_the_epochs_governed_params(fraud_trace):
 def test_governed_cut_slashes_from_its_effective_epoch():
     # frauds at odd epochs; the cut proposed at epoch 2 is in force from 4 on
     new_cut = 3 * BASE.slash_cut_wei
-    config = dataclasses.replace(
-        BASE,
+    config = BASE._replace(
         adversary_behavior="wrong_median_packet",
         fraud_period=2,
         governance=(GovernanceItem("s_cut", new_cut, 2),),
@@ -397,7 +394,7 @@ def test_verify_catches_missing_epoch(honest_trace):
 def test_claimed_epoch_count_does_not_size_memory():
     # a one-epoch trace edited to claim two million epochs is found short in
     # memory that follows the file, not the epoch count it claims
-    text = render_trace(netsim.run(dataclasses.replace(BASE, epochs=1)))
+    text = render_trace(netsim.run(BASE._replace(epochs=1)))
     edited = text.replace("\nepochs = 1\n", "\nepochs = 2000000\n", 1)
     assert edited != text
     tracemalloc.start()
@@ -521,14 +518,14 @@ def _edit_witness(text: str, epoch: int, edit) -> str:
     packet = OraclePacket.from_bytes(bytes.fromhex(lines[index][len("packet ") :]))
     entries = list(packet.witness.entries)
     edit(entries)
-    witness = dataclasses.replace(packet.witness, entries=tuple(entries))
-    lines[index] = "packet " + dataclasses.replace(packet, witness=witness).to_bytes().hex()
+    witness = packet.witness._replace(entries=tuple(entries))
+    lines[index] = "packet " + packet._replace(witness=witness).to_bytes().hex()
     return "\n".join(lines)
 
 
 @pytest.mark.parametrize("behavior", ["honest", "wrong_median_packet"])
 def test_clean_trace_needs_no_real_verify(seam, behavior):
-    text = render_trace(netsim.run(dataclasses.replace(SHORT, adversary_behavior=behavior)))
+    text = render_trace(netsim.run(SHORT._replace(adversary_behavior=behavior)))
     check, counts = _verify_fresh(text)
     assert check.exit_code == 0
     assert counts.real_verifies == 0
@@ -537,7 +534,7 @@ def test_clean_trace_needs_no_real_verify(seam, behavior):
 
 def test_overlapping_epochs_need_no_real_verify(seam):
     # a packet is built 2.83 s after its pulse, so epochs 1 s apart overlap
-    config = dataclasses.replace(SHORT, epoch_interval_s=1.0)
+    config = SHORT._replace(epoch_interval_s=1.0)
     assert config.delta_net_max_ms + config.t_prove_ms > 2 * config.epoch_interval_ms
     check, counts = _verify_fresh(render_trace(netsim.run(config)))
     assert check.exit_code == 0
@@ -546,14 +543,14 @@ def test_overlapping_epochs_need_no_real_verify(seam):
 
 def _swap_signatures(entries):
     first, second = entries[0], entries[1]
-    entries[0] = dataclasses.replace(first, signature=second.signature)
-    entries[1] = dataclasses.replace(second, signature=first.signature)
+    entries[0] = first._replace(signature=second.signature)
+    entries[1] = second._replace(signature=first.signature)
 
 
 def _flip_signature_bit(entries):
     last = entries[-1]
     flipped = bytes([last.signature[0] ^ 1]) + last.signature[1:]
-    entries[-1] = dataclasses.replace(last, signature=flipped)
+    entries[-1] = last._replace(signature=flipped)
 
 
 @pytest.mark.parametrize(
@@ -572,7 +569,7 @@ def test_altered_witness_signature_exits_4(seam, epoch, edit):
 def test_mismatch_reverifies_only_the_diverging_block(seam, monkeypatch):
     # the replay's own chains verify every packet it builds, so only the
     # one recorded block that differs from the replay is verified again
-    text = render_trace(netsim.run(dataclasses.replace(SHORT, epochs=48)))
+    text = render_trace(netsim.run(SHORT._replace(epochs=48)))
     text = _edit_witness(text, 3, _flip_signature_bit)
     calls = []
     real = trace_mod.verify
@@ -594,7 +591,7 @@ def test_valid_signature_over_another_value_exits_4(seam):
         secret = ReporterSecret(rid, netsim.reporter_key_seed(SHORT.seed, rid))
         message = observation_message(entry.value + 1, epoch, rid)
         forged.append((secret.public_key(), message, secret.sign(message)))
-        entries[0] = dataclasses.replace(entry, signature=forged[0][2])
+        entries[0] = entry._replace(signature=forged[0][2])
 
     text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, resign)
     assert sig.verify(*forged[0])  # a genuine signature by the member, for value + 1

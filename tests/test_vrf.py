@@ -1,11 +1,10 @@
-import dataclasses
-
 import pytest
 
 from vzor.errors import RegistryTooSmall, UnverifiableScore
 from vzor.vrf import (
     VRF_ORDER,
     Committee,
+    ReporterIdentity,
     ReporterSecret,
     evaluate_registry,
     prediction_bound,
@@ -19,6 +18,16 @@ def test_evaluate_is_deterministic(key_pool, pulses):
     b = evaluate_registry(key_pool, pulses[1], 1)
     assert a == b
     assert all(0 <= out.value < VRF_ORDER for _, out in a)
+
+
+def test_identity_rejects_a_negative_id_and_a_short_key():
+    ReporterIdentity(0, bytes(32))
+    with pytest.raises(ValueError):
+        ReporterIdentity(-1, bytes(32))
+    with pytest.raises(ValueError):
+        ReporterIdentity(0, bytes(31))
+    with pytest.raises(ValueError):  # a copy is checked as well
+        ReporterIdentity(0, bytes(32))._replace(public_key=bytes(31))
 
 
 def test_verify_accepts_honest_output(key_pool, pulses):
@@ -76,7 +85,7 @@ def test_duplicate_ids_rejected(key_pool, pulses):
 def test_forged_low_score_is_caught(key_pool, pulses):
     scored = evaluate_registry(key_pool, pulses[3], 3)
     cheater_ident, cheater_out = scored[7]
-    scored[7] = (cheater_ident, dataclasses.replace(cheater_out, value=0))
+    scored[7] = (cheater_ident, cheater_out._replace(value=0))
     with pytest.raises(UnverifiableScore):
         select_committee(pulses[3], 3, scored, 15)
 
@@ -85,7 +94,7 @@ def test_verify_rejects_forged_value(key_pool, pulses):
     # a value off by one from the proof's hash, not a conspicuous 0
     scored = evaluate_registry(key_pool, pulses[3], 3)
     cheater_ident, cheater_out = scored[7]
-    forged = dataclasses.replace(cheater_out, value=(cheater_out.value + 1) % VRF_ORDER)
+    forged = cheater_out._replace(value=(cheater_out.value + 1) % VRF_ORDER)
     scored[7] = (cheater_ident, forged)
     with pytest.raises(UnverifiableScore):
         select_committee(pulses[3], 3, scored, 15)
@@ -95,8 +104,8 @@ def test_verify_rejects_forged_value(key_pool, pulses):
 # another member's score and its own epoch-2 score; the edited score is then
 # forced to 0 as in test_forged_low_score_is_caught
 SCORE_EDITS = {
-    "zeroed_proof": lambda own, other, earlier: dataclasses.replace(own, proof=bytes(64)),
-    "other_members_key": lambda own, other, earlier: dataclasses.replace(own, proof=other.proof),
+    "zeroed_proof": lambda own, other, earlier: own._replace(proof=bytes(64)),
+    "other_members_key": lambda own, other, earlier: own._replace(proof=other.proof),
     "other_epochs_proof": lambda own, other, earlier: earlier,
 }
 
@@ -107,7 +116,7 @@ def test_edited_low_score_is_caught(key_pool, pulses, edit):
     earlier = evaluate_registry(key_pool, pulses[2], 2)[7][1]
     cheater_ident, cheater_out = scored[7]
     forged = edit(cheater_out, scored[8][1], earlier)
-    scored[7] = (cheater_ident, dataclasses.replace(forged, value=0))
+    scored[7] = (cheater_ident, forged._replace(value=0))
     with pytest.raises(UnverifiableScore):
         select_committee(pulses[3], 3, scored, 15)
 
