@@ -239,7 +239,7 @@ class Hub:
         cut = self.effective_params(fraud.packet.epoch).s_cut
         fraudulent = not verify(fraud.packet, committee, params).accepted
         root = fraud.packet.proof.witness_root
-        slashed: list[int] = []
+        slashed: dict[int, None] = {}  # an ordered set: ids in accusation order
         total = 0
         for entry, path in fraud.inclusion if fraudulent else ():
             if entry.reporter_id in slashed:
@@ -249,7 +249,7 @@ class Hub:
             if entry.reporter_id not in self.ledger.entries:
                 continue
             total += self.ledger.slash(entry.reporter_id, cut)
-            slashed.append(entry.reporter_id)
+            slashed[entry.reporter_id] = None
         report = SlashReport(
             epoch=fraud.packet.epoch,
             slashed=tuple(slashed),

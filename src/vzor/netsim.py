@@ -47,7 +47,6 @@ from .vrf import (
     evaluate_registry,
     select_committee,
     sortition_message,
-    sortition_signed_message,
 )
 
 _RNG_TAG = "VZOR/rng/v1"
@@ -206,7 +205,7 @@ class _Scorer:
                 os.close(read_fd)
                 with open(write_fd, "wb") as out:
                     for epoch in range(first_epoch, self._epochs):
-                        message = sortition_signed_message(pulse_value(self._seed, epoch), epoch)
+                        message = sortition_message(pulse_value(self._seed, epoch), epoch)[0]
                         for rid, secret in enumerate(self._secrets):
                             claimed, at = divmod(words[0], size)
                             if claimed > epoch or claimed == epoch and rid >= at:
@@ -365,7 +364,7 @@ class Simulator:
         governed = self.hub.effective_params(epoch)
         state.agg = self.config.aggregation_params(governed)
         active = [s for s in self.secrets if self.hub.ledger.is_active(s.id)]
-        proofs = self._scorer.proofs(epoch, sortition_message(state.pulse, epoch)[0])
+        proofs = self._scorer.proofs(epoch, sortition_message(state.pulse.value, epoch)[0])
         scored = evaluate_registry(active, state.pulse, epoch, proofs)
         try:
             state.committee = select_committee(state.pulse, epoch, scored, governed.n)

@@ -24,9 +24,9 @@ three places only:
   deterministic and the signer derives its public key from its own
   private key, so its signature always verifies under that key;
 * :func:`record_own`, stored as true: a VRF proof made by one of the
-  run's own keys ahead of its draw, either in the simulator's forked
-  scorer process and read back from its pipe, or by the event loop with
-  :meth:`Signer.sign_unrecorded`; it is recorded at the draw that uses it.
+  run's own keys with :meth:`Signer.sign_unrecorded`, either in the
+  simulator's forked scorer process and read back from its pipe, or by
+  the event loop; it is recorded at the draw that uses it.
   The real-verify mode below stores nothing, so there every such
   signature is still checked for real when it is used.
 
@@ -169,7 +169,8 @@ _keypair = _choose()
 
 class Signer:
     """An Ed25519 private key with its public key derived once, both through
-    the backend chosen at import."""
+    the backend chosen at import.  A reporter's key is the subclass
+    :class:`vrf.ReporterSecret`, which adds its id and identity."""
 
     __slots__ = ("_sign", "public_key")
 

@@ -53,27 +53,15 @@ class ReporterIdentity(_ReporterIdentity):
         return self
 
 
-class ReporterSecret:
-    """Signing half of a reporter from its 256-bit seed; caches signer and identity."""
+class ReporterSecret(sig.Signer):
+    """A reporter's signer from its 256-bit seed, with its id and public identity."""
 
-    __slots__ = ("id", "_signer", "_identity")
+    __slots__ = ("id", "identity")
 
     def __init__(self, reporter_id: int, seed: bytes) -> None:
+        super().__init__(seed)
         self.id = reporter_id
-        self._signer = sig.Signer(seed)
-        self._identity = ReporterIdentity(reporter_id, self._signer.public_key)
-
-    def sign(self, message: bytes) -> bytes:
-        return self._signer.sign(message)
-
-    def sign_unrecorded(self, message: bytes) -> bytes:
-        return self._signer.sign_unrecorded(message)
-
-    def public_key(self) -> bytes:
-        return self._signer.public_key
-
-    def identity(self) -> ReporterIdentity:
-        return self._identity
+        self.identity = ReporterIdentity(reporter_id, self.public_key)
 
 
 class VrfOutput(NamedTuple):
@@ -132,15 +120,10 @@ class Committee(_Committee):
 
 
 @functools.lru_cache(maxsize=1)  # a draw's scorer, scoring and selection share it
-def sortition_message(pulse: Pulse, epoch: int) -> tuple[bytes, bytes]:
+def sortition_message(pulse_value: bytes, epoch: int) -> tuple[bytes, bytes]:
     """(signed message, input digest) of the epoch's committee draw."""
-    input_bytes = sortition_input(pulse.value, epoch)
+    input_bytes = sortition_input(pulse_value, epoch)
     return domain_message(_VRF_SIGN_TAG, input_bytes), tagged_digest(_VRF_INPUT_TAG, input_bytes)
-
-
-def sortition_signed_message(pulse_value: bytes, epoch: int) -> bytes:
-    """The signed message of :func:`sortition_message`, from the pulse's value."""
-    return domain_message(_VRF_SIGN_TAG, sortition_input(pulse_value, epoch))
 
 
 def evaluate_registry(
@@ -153,19 +136,16 @@ def evaluate_registry(
 
     ``proofs``, when given, holds the epoch's proof of every registered
     reporter, indexed by id, signed ahead with the same keys and not yet
-    recorded; each is recorded with :func:`sig.record_own` instead of being
-    signed again.
+    recorded; without it each proof is signed here.  Every proof is
+    recorded with :func:`sig.record_own`.
     """
-    message, input_digest = sortition_message(pulse, epoch)
+    message, input_digest = sortition_message(pulse.value, epoch)
     scored = []
     for s in secrets:
-        if proofs is None:
-            proof = s.sign(message)
-        else:
-            proof = proofs[s.id]
-            sig.record_own(s.public_key(), message, proof)
+        proof = s.sign_unrecorded(message) if proofs is None else proofs[s.id]
+        sig.record_own(s.public_key, message, proof)
         value = _output_value(proof, input_digest)
-        scored.append((s.identity(), VrfOutput(value=value, proof=proof)))
+        scored.append((s.identity, VrfOutput(value=value, proof=proof)))
     return scored
 
 
@@ -196,7 +176,7 @@ def select_committee(
             f"registry has {len(ranked)} reporters, committee needs {committee_size}"
         )
     selected = ranked[:committee_size]
-    message, input_digest = sortition_message(pulse, epoch)
+    message, input_digest = sortition_message(pulse.value, epoch)
     for ident, out in selected:
         if not _verify(ident.public_key, message, input_digest, out):
             raise UnverifiableScore(f"reporter {ident.id} offered an unverifiable score")

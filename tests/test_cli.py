@@ -30,12 +30,26 @@ def run_dir(tmp_path):
     return out
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+# the bench's setup_s times a fresh process that runs the "setup" snippet
+IMPORTING = {
+    "cli": "import vzor.cli",
+    "setup": "from vzor import netsim, scenario\nnetsim.Simulator(scenario.load_config(sys.argv[1]))",
+}
+
+
+@pytest.mark.parametrize("snippet", sorted(IMPORTING))
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path, snippet):
     # start-up time in every vzor process: importing dataclasses alone takes about 7 ms
-    code = "import sys, vzor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unwanted = {"dataclasses", "inspect", "statistics", "json"}
+    if snippet == "setup":
+        unwanted.add("argparse")
+    if sig._keypair is not sig._openssl_keypair:  # with libsodium only a verify loads it
+        unwanted.add("cryptography")
+    code = f"import sys\n{IMPORTING[snippet]}\nprint(sorted({unwanted!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sig.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, _write(tmp_path, "scenario.txt", SMALL)],
+        capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout == "[]\n"
 

@@ -62,25 +62,25 @@ def test_median_is_lower_middle_element(values):
 def test_sign_verify_round_trip(key_pool, agg_params):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
     assert obs.reporter_id == 4
-    assert verify_observation(key_pool[4].public_key(), obs, agg_params)
+    assert verify_observation(key_pool[4].public_key, obs, agg_params)
 
 
 def test_verify_rejects_wrong_key(key_pool, agg_params):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
-    assert not verify_observation(key_pool[5].public_key(), obs, agg_params)
+    assert not verify_observation(key_pool[5].public_key, obs, agg_params)
 
 
 @pytest.mark.parametrize("field", ["value", "epoch", "reporter_id"])
 def test_verify_rejects_field_tamper(key_pool, agg_params, field):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
     tampered = obs._replace(**{field: getattr(obs, field) + 1})
-    assert not verify_observation(key_pool[4].public_key(), tampered, agg_params)
+    assert not verify_observation(key_pool[4].public_key, tampered, agg_params)
 
 
 def test_verify_rejects_flipped_signature(key_pool, agg_params):
     obs = sign_observation(key_pool[4], 123_456, 9, agg_params)
     bad = obs.signature[:10] + bytes([obs.signature[10] ^ 1]) + obs.signature[11:]
-    assert not verify_observation(key_pool[4].public_key(), obs._replace(signature=bad), agg_params)
+    assert not verify_observation(key_pool[4].public_key, obs._replace(signature=bad), agg_params)
 
 
 def test_sign_rejects_out_of_range(key_pool, agg_params):
@@ -94,8 +94,8 @@ def test_verify_rejects_out_of_range_value(key_pool):
     wide = AggregationParams(value_min=-(10**12))
     narrow = AggregationParams()
     obs = sign_observation(key_pool[0], -5, 0, wide)
-    assert verify_observation(key_pool[0].public_key(), obs, wide)
-    assert not verify_observation(key_pool[0].public_key(), obs, narrow)
+    assert verify_observation(key_pool[0].public_key, obs, wide)
+    assert not verify_observation(key_pool[0].public_key, obs, narrow)
 
 
 def test_aggregation_params_validation():

@@ -49,10 +49,14 @@ def _flip_bit(data: bytes, bit: int) -> bytes:
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=1100))
 def test_chosen_backend_signs_as_cryptography_does(seed, message):
     reference = Ed25519PrivateKey.from_private_bytes(seed)
-    signer = sig.Signer(seed)
-    assert signer.public_key == reference.public_key().public_bytes_raw()
-    assert signer.sign_unrecorded(message) == reference.sign(message)
-    assert signer.sign(message) == reference.sign(message)
+    # a reporter's key is a Signer with two slots more and no __dict__
+    for signer in (sig.Signer(seed), ReporterSecret(7, seed)):
+        assert isinstance(signer, sig.Signer)
+        assert signer.public_key == reference.public_key().public_bytes_raw()
+        assert signer.sign_unrecorded(message) == reference.sign(message)
+        assert signer.sign(message) == reference.sign(message)
+        with pytest.raises(AttributeError):
+            signer.unknown = 1
 
 
 def test_libsodium_signs_where_it_loads():

@@ -590,7 +590,7 @@ def test_valid_signature_over_another_value_exits_4(seam):
         rid = entry.reporter_id
         secret = ReporterSecret(rid, netsim.reporter_key_seed(SHORT.seed, rid))
         message = observation_message(entry.value + 1, epoch, rid)
-        forged.append((secret.public_key(), message, secret.sign(message)))
+        forged.append((secret.public_key, message, secret.sign(message)))
         entries[0] = entry._replace(signature=forged[0][2])
 
     text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, resign)

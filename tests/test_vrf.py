@@ -49,7 +49,7 @@ def test_verify_rejects_wrong_key(key_pool, pulses):
 def test_keygen_deterministic():
     s1 = ReporterSecret(9, b"\x09" * 32)
     s2 = ReporterSecret(9, b"\x09" * 32)
-    assert s1.identity() == s2.identity()
+    assert s1.identity == s2.identity
     assert s1.sign(b"m") == s2.sign(b"m")
 
 
