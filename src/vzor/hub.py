@@ -94,9 +94,6 @@ class StakeLedger:
             raise InsufficientStake(f"stake {stake} below minimum {min_stake}")
         self.entries[reporter_id] = stake
 
-    def stake_of(self, reporter_id: int) -> int:
-        return self.entries.get(reporter_id, 0)
-
     def is_active(self, reporter_id: int) -> bool:
         # zero-stake reporters are deactivated from future committees
         return self.entries.get(reporter_id, 0) > 0

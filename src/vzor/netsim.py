@@ -29,7 +29,7 @@ import random
 import signal
 import threading
 from collections import Counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import sig
 from .beacon import BeaconParams, Pulse, next_pulse, pulse_value
@@ -111,7 +111,6 @@ class EpochRecord(NamedTuple):
 
 class RunTrace(NamedTuple):
     config: ScenarioConfig
-    records: tuple[EpochRecord, ...]
     governance_records: tuple[GovernanceUpdate, ...]
     initial_total: int
     final_total: int
@@ -168,19 +167,21 @@ class _Scorer:
             self._unstarted = False
             self._start(epoch)
         start = epoch * len(self._secrets)  # the list index of the epoch's first proof
-        head, own = b"", []  # its proofs from the pipe; the loop's, the highest id first
+        reads, got, own = [], 0, []  # its pipe reads, their bytes; the loop's, highest id first
         words = self._words
-        while start + len(head) // SIGNATURE_BYTES < (low := start + len(self._secrets) - len(own)):
+        while start + got // SIGNATURE_BYTES < (low := start + len(self._secrets) - len(own)):
             if self._pid and self._read < words[1] * SIGNATURE_BYTES:
                 data = os.read(self._fd, min(words[1], low) * SIGNATURE_BYTES - self._read)
                 if not data:
                     self.close()  # the child died
-                head += data[max(start * SIGNATURE_BYTES - self._read, 0) :]
+                reads.append(chunk := data[max(start * SIGNATURE_BYTES - self._read, 0) :])
+                got += len(chunk)
                 self._read += len(data)
             else:
                 words[0] = low - 1
                 own.append(self._secrets[low - 1 - start].sign_unrecorded(message))
         stop = (low - start) * SIGNATURE_BYTES  # a dead child may leave part of a proof
+        head = b"".join(reads)  # once, not per read; a read may end inside a proof
         return [head[i : i + SIGNATURE_BYTES] for i in range(0, stop, SIGNATURE_BYTES)] + own[::-1]
 
     def _start(self, first_epoch: int) -> None:
@@ -239,12 +240,12 @@ class Simulator:
     loop and hands on each epoch's record as soon as it is final, dropping
     the epoch's state; it reaps the VRF scorer (``_Scorer``) when it ends,
     is closed, or a handler raises.  :meth:`run` drives it to the end and
-    hands each record to a sink, which is how ``vzor run`` writes its files,
-    or collects them; ``verify-trace`` consumes it directly.  Construction
-    keeps the genesis hub that validating the config returns, the run's one
-    hub.  Governance updates only charge gas and are recorded, so both are
-    done then, as is capping the verdict memo at the signatures of the
-    epochs open at once: every memo hit re-checks one of them.
+    hands each record to a sink, which is how ``vzor run`` writes its files;
+    ``verify-trace`` consumes it directly.  Construction keeps the genesis
+    hub that validating the config returns, the run's one hub.  Governance
+    updates only charge gas and are recorded, so both are done then, as is
+    capping the verdict memo at the signatures of the epochs open at once:
+    every memo hit re-checks one of them.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -326,17 +327,15 @@ class Simulator:
         finally:
             self._scorer.close()
 
-    def run(self, sink: Optional[Callable[[EpochRecord], object]] = None) -> RunTrace:
-        """Drive the loop to its end.  Each epoch's record goes to ``sink`` as
-        the epoch closes; without one, the returned trace keeps them all."""
-        records: list[EpochRecord] = []
+    def run(self, sink: Callable[[EpochRecord], object]) -> RunTrace:
+        """Drive the loop to its end, handing each epoch's record to ``sink``
+        as the epoch closes, and return the run's totals."""
         with contextlib.closing(self.epochs()) as closed:
             for record in closed:
-                (records.append if sink is None else sink)(record)
+                sink(record)
         total, burned = self.hub.snapshot()
         return RunTrace(
             config=self.config,
-            records=tuple(records),
             governance_records=self.governance_records,
             initial_total=self.initial_total,
             final_total=total,
@@ -472,11 +471,6 @@ class Simulator:
         )
 
 
-def run(config: ScenarioConfig) -> RunTrace:
-    """Execute one scenario end to end and return its complete trace."""
-    return Simulator(config).run()
-
-
 # -- post-run analysis ----------------------------------------------------------------
 
 
@@ -492,10 +486,10 @@ class LivenessReport(NamedTuple):
 
 
 class Tally:
-    """What the metrics and the liveness check keep of a run's records, which
-    they read once, in epoch order, as :meth:`Simulator.epochs` hands them on."""
+    """What the metrics and the liveness check keep of a run's records, given
+    to :meth:`add` once each, in epoch order, by :meth:`Simulator.run`'s sink."""
 
-    def __init__(self, config: ScenarioConfig, records: Iterable[EpochRecord] = ()) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.bound_ms = latency_bound_ms(config)
         self.e2e: list[int] = []  # one per accepted epoch
@@ -503,8 +497,6 @@ class Tally:
         self.selected: Counter[int] = Counter()  # reporter id -> epochs on the committee
         self.checked = 0  # honest epochs with an e2e latency
         self.late: list[tuple[int, int]] = []  # those over the bound: (epoch, e2e_ms)
-        for record in records:
-            self.add(record)
 
     def add(self, record: EpochRecord) -> None:
         if record.e2e_ms is not None:
@@ -539,10 +531,6 @@ class Tally:
         )
 
 
-def check_liveness(trace: RunTrace) -> LivenessReport:
-    return Tally(trace.config, trace.records).liveness()
-
-
 class MetricsSummary(NamedTuple):
     epochs: int
     accepted_epochs: int
@@ -570,7 +558,3 @@ class MetricsSummary(NamedTuple):
         for rid, count in self.selection_counts:
             lines.append(f"selected_{rid} = {count}")
         return "\n".join(lines) + "\n"
-
-
-def metrics(trace: RunTrace) -> MetricsSummary:
-    return Tally(trace.config, trace.records).metrics(trace.gas_totals)

@@ -7,12 +7,12 @@ and ledger totals.  It carries everything needed to re-check the run:
 packets re-verify from the committee keys alone, and the embedded
 config reproduces the entire simulation.  ``vzor run`` writes the head,
 then each block and CSV row as the simulator closes its epoch, through
-:func:`render_trace`, the same function that renders a finished run.
-Verification reads the trace once, line by line: it checks the structure
-as it reads, and compares each epoch's block with the replay's as the
-replay closes it, up to the first that differs.  It holds no more than
-one block, so a trace can be read from a pipe, and the protocol rules
-themselves live only in the modules the replay runs.
+:func:`render_trace`.  Verification reads the trace once, line by line:
+it checks the structure as it reads, and compares each epoch's block
+with the replay's as the replay closes it, up to the first that
+differs.  It holds no more than one block, so a trace can be read from
+a pipe, and the protocol rules themselves live only in the modules the
+replay runs.
 
 Verification distinguishes two failure classes, and gives its verdict
 after the last line, corruption first.  File-level damage (missing
@@ -49,22 +49,22 @@ def ms_to_s_text(ms: int) -> str:
 # -- rendering ---------------------------------------------------------------
 
 
-def render_head(run: Union[netsim.RunTrace, netsim.Simulator]) -> str:
+def render_head(sim: netsim.Simulator) -> str:
     """The trace's lines before its first epoch block: header, config echo,
     chains, the starting ledger and the governance records, read from a
-    simulator or its finished run.  Nothing is burned before epoch 0."""
-    config = run.config
+    simulator.  Nothing is burned before epoch 0."""
+    config = sim.config
     lines = [
         TRACE_HEADER,
         "[config]",
         canonical_text(config).rstrip("\n"),
         "[/config]",
         f"chains {','.join(config.chains)}",
-        f"ledger start total={run.initial_total} burned=0",
+        f"ledger start total={sim.initial_total} burned=0",
     ]
     lines += (
         f"governance effective={u.effective_epoch} param={u.parameter} value={u.value}"
-        for u in run.governance_records
+        for u in sim.governance_records
     )
     return "\n".join(lines) + "\n"
 
@@ -104,28 +104,21 @@ def render_block(rec: netsim.EpochRecord) -> str:
 
 
 def render_trace(
-    run: Union[netsim.RunTrace, netsim.Simulator],
-    out: Optional[TextIO] = None,
-    sink: Callable[[netsim.EpochRecord], object] = lambda record: None,
-) -> Union[str, netsim.RunTrace]:
-    """A run's trace: its head, one block per epoch, then the end marker.
-
-    A finished :class:`netsim.RunTrace` gives its text.  A
-    :class:`netsim.Simulator` writes its head to ``out``, then is run: each
-    epoch's block is written as the epoch closes, and the record goes on to
-    ``sink``.  Its :class:`netsim.RunTrace`, which keeps no records, is
-    returned.  ``vzor run`` streams this way so that ``bench/tracer.py``,
-    which times ``render_trace`` and ``Simulator.run`` by name, sees it.
+    sim: netsim.Simulator, out: TextIO, sink: Callable[[netsim.EpochRecord], object]
+) -> netsim.RunTrace:
+    """Run ``sim``, writing its trace to ``out``: its head, one block per
+    epoch as the epoch closes, then the end marker.  Each record goes on to
+    ``sink``, and the run's :class:`netsim.RunTrace` is returned.  ``vzor
+    run`` streams through here so that ``bench/tracer.py``, which times
+    ``render_trace`` and ``Simulator.run`` by name, sees it.
     """
-    if isinstance(run, netsim.RunTrace):
-        return render_head(run) + "".join(map(render_block, run.records)) + TRACE_END
-    out.write(render_head(run))
+    out.write(render_head(sim))
 
     def write(record: netsim.EpochRecord) -> None:
         out.write(render_block(record))
         sink(record)
 
-    run_trace = run.run(write)
+    run_trace = sim.run(write)
     out.write(TRACE_END)
     return run_trace
 
@@ -158,11 +151,6 @@ def csv_line(rec: netsim.EpochRecord, chains: tuple[str, ...]) -> str:
         ms_to_s_text(slash.latency_ms), ";".join(str(i) for i in slash.slashed)
     ]
     return csv_row(cells) + "\n"
-
-
-def render_csv(trace: netsim.RunTrace) -> str:
-    chains = trace.config.chains
-    return csv_head(chains) + "".join(csv_line(rec, chains) for rec in trace.records)
 
 
 # -- parsing ------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Shared fixtures: a reusable key pool, committee and packet builders,
-and the single-field packet mutation engine used by soundness tests."""
+a finished run's outputs, and the single-field packet mutation engine used
+by soundness tests."""
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
+from vzor import netsim
 from vzor.beacon import BeaconParams, make_chain
 from vzor.oracle import AggregationParams, sign_observation
 from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import ProofObject, Witness, WitnessEntry
+from vzor.scenario import ScenarioConfig
+from vzor.trace import TRACE_END, csv_head, csv_line, render_block, render_head
 from vzor.vrf import ReporterSecret, evaluate_registry, select_committee
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -63,6 +68,34 @@ def make_packet(key_pool, draw_committee, agg_params):
         return build_packet(observations, committee, params, claimed_median=claimed), committee
 
     return _make
+
+
+class FinishedRun(NamedTuple):
+    records: tuple[netsim.EpochRecord, ...]
+    totals: netsim.RunTrace  # what Simulator.run returns
+    text: str  # trace.txt
+    csv: str  # epochs.csv
+    metrics: netsim.MetricsSummary
+    liveness: netsim.LivenessReport
+
+
+def finished_run(config: ScenarioConfig) -> FinishedRun:
+    """One run of ``config`` and what `vzor run` makes of it, built from the
+    records ``Simulator.run`` hands on.  It does not call `render_trace`, so
+    tests that compare `vzor run`'s files with these texts compare two paths."""
+    sim, records = netsim.Simulator(config), []
+    run_trace = sim.run(records.append)
+    tally = netsim.Tally(config)
+    for record in records:
+        tally.add(record)
+    return FinishedRun(
+        tuple(records),
+        run_trace,
+        render_head(sim) + "".join(map(render_block, records)) + TRACE_END,
+        csv_head(config.chains) + "".join(csv_line(r, config.chains) for r in records),
+        tally.metrics(run_trace.gas_totals),
+        tally.liveness(),
+    )
 
 
 # -- single-field packet mutations ------------------------------------------------

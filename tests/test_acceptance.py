@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from vzor import netsim
 from vzor.beacon import BeaconParams, make_chain
 from vzor.chains import (
     CHAIN_PRESETS,
@@ -29,10 +28,9 @@ from vzor.oracle import AggregationParams, median, sign_observation
 from vzor.packets import OraclePacket, build_packet
 from vzor.proofs import verify
 from vzor.scenario import ScenarioConfig
-from vzor.trace import render_trace
 from vzor.vrf import evaluate_registry, select_committee
 
-from conftest import MUTATION_KINDS, mutate_packet
+from conftest import MUTATION_KINDS, finished_run, mutate_packet
 
 # 99.9% critical value of the chi-square distribution with 49 degrees of
 # freedom (uniformity test over 50 reporters)
@@ -56,17 +54,17 @@ def _flip_bit(data: bytes, bit: int) -> bytes:
 
 @pytest.fixture(scope="module")
 def fraud480():
-    return netsim.run(ScenarioConfig(adversary_behavior="wrong_median_packet"))
+    return finished_run(ScenarioConfig(adversary_behavior="wrong_median_packet"))
 
 
 @pytest.fixture(scope="module")
 def honest480():
-    return netsim.run(ScenarioConfig())
+    return finished_run(ScenarioConfig())
 
 
 @pytest.fixture(scope="module")
 def safety480():
-    return netsim.run(ScenarioConfig(adversary_behavior="wrong_value", adversary_count=5))
+    return finished_run(ScenarioConfig(adversary_behavior="wrong_value", adversary_count=5))
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +212,7 @@ def test_criterion_06_slashing_biconditional(fraud480):
             membership_ok = False
 
     honest_ledger_ok = True
-    initial_total = fraud480.config.registry_size * fraud480.config.initial_stake_wei
+    initial_total = fraud480.totals.config.registry_size * fraud480.totals.config.initial_stake_wei
     previous = (initial_total, 0)
     for record in fraud480.records:
         current = (record.ledger_total, record.ledger_burned)
@@ -223,20 +221,20 @@ def test_criterion_06_slashing_biconditional(fraud480):
         previous = current
 
     conservation_ok = (
-        fraud480.final_total + fraud480.final_burned == initial_total
-        and fraud480.final_burned == sum(r.slash.total_cut for r in slash_records)
+        fraud480.totals.final_total + fraud480.totals.final_burned == initial_total
+        and fraud480.totals.final_burned == sum(r.slash.total_cut for r in slash_records)
     )
     _report(
         6,
         "slashing biconditional",
         count_ok and epochs_ok and membership_ok and honest_ledger_ok and conservation_ok,
         f"8 slash events, witness-bound, conservation exact "
-        f"(burned {fraud480.final_burned} wei)",
+        f"(burned {fraud480.totals.final_burned} wei)",
     )
 
 
 def test_criterion_07_liveness_bound(honest480):
-    report = netsim.check_liveness(honest480)
+    report = honest480.liveness
     all_accepted = all(
         record.receipts and all(r.accepted for r in record.receipts)
         for record in honest480.records
@@ -251,7 +249,7 @@ def test_criterion_07_liveness_bound(honest480):
 
 
 def test_criterion_08_honest_majority_safety(safety480):
-    controlled = safety480.config.controlled_ids()
+    controlled = safety480.totals.config.controlled_ids()
     safe_epochs = 0
     for record in safety480.records:
         if not (record.receipts and all(r.accepted for r in record.receipts)):
@@ -320,14 +318,14 @@ def test_criterion_11_trace_self_verification(
         ("safety", safety480),
     ):
         path = tmp_path / f"{name}.txt"
-        path.write_text(render_trace(trace))
+        path.write_text(trace.text)
         if cli_main(["verify-trace", str(path)]) != 0:
             clean_ok = False
     if cli_main(["verify-trace", str(twin_runs[0] / "trace.txt")]) != 0:
         clean_ok = False
 
     # single-bit mutations inside receipt lines must exit 4
-    text = render_trace(honest480)
+    text = honest480.text
     receipt_line = next(
         line for line in text.split("\n") if line.startswith("receipt chain=scroll")
     )

@@ -2,9 +2,9 @@
 
 Counts repeat exactly for a fixed scenario, so a change that adds crypto
 work, digests or events shows here as a changed number, not as noise in
-a wall-clock benchmark.  Each figure covers one whole `netsim.run`:
-setup (key generation) and the event loop, which makes each pulse and
-truth value as the clock reaches it.
+a wall-clock benchmark.  Each figure covers one whole run of the
+simulator: setup (key generation) and the event loop, which makes each
+pulse and truth value as the clock reaches it.
 """
 
 import functools
@@ -16,7 +16,9 @@ import pytest
 from vzor import cli, encoding, netsim, proofs, sig
 from vzor.hub import GovernedParams, Hub
 from vzor.scenario import GovernanceItem, ScenarioConfig, canonical_text
-from vzor.trace import render_trace, verify_trace_text
+from vzor.trace import verify_trace_text
+
+from conftest import finished_run
 
 HONEST = ScenarioConfig(seed=3, epochs=6)
 FRAUD = ScenarioConfig(
@@ -88,7 +90,7 @@ def _count_run(config, monkeypatch):
     for name, fn in list(vars(netsim.Simulator).items()):
         if name.startswith("_on_"):
             monkeypatch.setattr(netsim.Simulator, name, count_event(name, fn))
-    netsim.run(config)
+    finished_run(config)
     done = sig.counters()
     sig.reset()
     return {
@@ -109,14 +111,14 @@ def test_operation_counts_are_pinned(name, config, monkeypatch):
 def test_forked_scorer_gives_the_pinned_counts_and_trace(name, config, monkeypatch):
     # these runs are below SCORER_MIN_SIGNS and score in-process; with the
     # constant at 0 they sign their VRF proofs in a forked scorer instead
-    in_process = render_trace(netsim.run(config))
+    in_process = finished_run(config).text
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(netsim, "SCORER_MIN_SIGNS", 0)
     assert _count_run(config, monkeypatch) == EXPECTED[name]
     assert len(forks) == 1
-    text = render_trace(netsim.run(config))
+    text = finished_run(config).text
     assert text == in_process
     assert verify_trace_text(text).exit_code == 0
     assert len(forks) == 3  # the second run and the replay fork one scorer each
@@ -131,7 +133,7 @@ def test_one_merkle_tree_per_packet(config, monkeypatch):
     levels, build = proofs._levels, netsim.build_packet
     monkeypatch.setattr(proofs, "_levels", lambda witness: trees.append(1) or levels(witness))
     monkeypatch.setattr(netsim, "build_packet", lambda *a, **kw: packets.append(1) or build(*a, **kw))
-    text = render_trace(netsim.run(config))
+    text = finished_run(config).text
     assert len(trees) == len(packets) == config.epochs
     trees.clear()
     packets.clear()
@@ -154,7 +156,7 @@ def test_governance_schedule_is_applied_once_per_hub(epochs, monkeypatch):
     monkeypatch.setattr(
         GovernedParams, "with_update", lambda *args: calls.append(1) or with_update(*args)
     )
-    text = render_trace(netsim.run(config))
+    text = finished_run(config).text
     assert len(calls) == len(SCHEDULE)
     calls.clear()
     assert verify_trace_text(text).exit_code == 0

@@ -12,10 +12,11 @@ import hashlib
 
 import pytest
 
-from vzor import netsim, sig
+from vzor import sig
 from vzor.cli import main
 from vzor.scenario import ScenarioConfig
-from vzor.trace import render_csv, render_trace
+
+from conftest import finished_run
 
 BASE = ScenarioConfig(epochs=48)
 
@@ -55,8 +56,8 @@ GOLDEN = {
 def test_outputs_match_golden_digests(name, fallback, monkeypatch):
     if fallback:
         monkeypatch.setattr(sig, "_keypair", sig._openssl_keypair)
-    run_trace = netsim.run(SCENARIOS[name])
-    outputs = (render_trace(run_trace), render_csv(run_trace), netsim.metrics(run_trace).to_text())
+    run_trace = finished_run(SCENARIOS[name])
+    outputs = (run_trace.text, run_trace.csv, run_trace.metrics.to_text())
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in outputs)
     assert digests == GOLDEN[name]
 

@@ -60,7 +60,7 @@ def test_wei_to_eth_text():
 def test_ledger_register_and_boundaries():
     ledger = StakeLedger()
     ledger.register(1, DEFAULT_MIN_STAKE, DEFAULT_MIN_STAKE)  # exactly the minimum
-    assert ledger.stake_of(1) == DEFAULT_MIN_STAKE
+    assert ledger.entries.get(1, 0) == DEFAULT_MIN_STAKE
     assert ledger.is_active(1)
     with pytest.raises(AlreadyRegistered):
         ledger.register(1, STAKE, DEFAULT_MIN_STAKE)
@@ -74,7 +74,7 @@ def test_ledger_slash_floors_at_zero():
     ledger.register(1, 100, 1)
     assert ledger.slash(1, 30) == 30
     assert ledger.slash(1, 90) == 70  # only 70 left
-    assert ledger.stake_of(1) == 0
+    assert ledger.entries.get(1, 0) == 0
     assert not ledger.is_active(1)
     assert ledger.slash(1, 10) == 0
     assert ledger.slash(99, 10) == 0  # unknown reporter
@@ -264,7 +264,7 @@ def test_adjudicate_slashes_every_signer(make_packet, agg_params):
     assert after_total == before_total - report.total_cut
     assert after_burned == before_burned + report.total_cut
     for rid in report.slashed:
-        assert hub.ledger.stake_of(rid) == STAKE - DEFAULT_SLASH_CUT
+        assert hub.ledger.entries.get(rid, 0) == STAKE - DEFAULT_SLASH_CUT
 
 
 def test_adjudicate_is_idempotent(make_packet, agg_params):
@@ -331,7 +331,7 @@ def test_unproven_accusation_is_skipped(make_packet, agg_params):
     report = hub.adjudicate(tampered, committee, agg_params)
     assert entry.reporter_id not in report.slashed
     assert len(report.slashed) == len(lying.witness.entries) - 1
-    assert hub.ledger.stake_of(entry.reporter_id) == STAKE
+    assert hub.ledger.entries.get(entry.reporter_id, 0) == STAKE
 
 
 def test_unregistered_reporter_is_skipped(make_packet, agg_params):
@@ -367,7 +367,7 @@ def test_slash_floors_at_zero_stake(make_packet, agg_params):
     assert report.per_reporter_cut == 2 * WEI_PER_ETH
     assert report.total_cut == len(report.slashed) * DEFAULT_MIN_STAKE  # capped by stake
     for rid in report.slashed:
-        assert hub.ledger.stake_of(rid) == 0
+        assert hub.ledger.entries.get(rid, 0) == 0
         assert not hub.ledger.is_active(rid)
 
 

@@ -4,18 +4,13 @@ import pytest
 
 from vzor import sig
 from vzor.chains import OP_FRAUD, OP_GOVERNANCE, OP_VERIFY
-from vzor.netsim import (
-    Simulator,
-    check_liveness,
-    latency_bound_ms,
-    metrics,
-    reporter_key_seed,
-    run,
-)
+from vzor.netsim import Simulator, latency_bound_ms, reporter_key_seed
 from vzor.packets import OraclePacket
 from vzor.proofs import Witness
 from vzor.scenario import GovernanceItem, ScenarioConfig
-from vzor.trace import render_trace, verify_trace_text
+from vzor.trace import verify_trace_text
+
+from conftest import finished_run
 
 BASE = ScenarioConfig(seed=7, epochs=12, registry_size=50)
 
@@ -32,15 +27,15 @@ def test_key_seed_is_deterministic_and_distinct():
 
 
 def test_same_seed_same_trace():
-    assert run(_scenario()) == run(_scenario())
+    assert finished_run(_scenario()) == finished_run(_scenario())
 
 
 def test_different_seed_different_trace():
-    assert run(_scenario()) != run(_scenario(seed=8))
+    assert finished_run(_scenario()) != finished_run(_scenario(seed=8))
 
 
 def test_honest_run_lifecycle():
-    trace = run(_scenario())
+    trace = finished_run(_scenario())
     assert len(trace.records) == 12
     for record in trace.records:
         assert len(record.committee) == 15
@@ -54,9 +49,9 @@ def test_honest_run_lifecycle():
         assert not record.fraud_injected
         assert record.slash is None
         assert record.t0_ms == record.epoch * 30_000
-    assert trace.final_burned == 0
-    initial_total = trace.config.registry_size * trace.config.initial_stake_wei
-    assert trace.initial_total == trace.final_total == initial_total == 50 * 32 * 10**18
+    assert trace.totals.final_burned == 0
+    initial_total = trace.totals.config.registry_size * trace.totals.config.initial_stake_wei
+    assert trace.totals.initial_total == trace.totals.final_total == initial_total == 50 * 32 * 10**18
 
 
 @pytest.mark.parametrize(
@@ -80,12 +75,12 @@ def test_epochs_hand_on_each_record_as_it_closes(overrides):
         assert all(epoch > record.epoch for epoch in simulator._states)
         queued.append(len(simulator._heap))
         streamed.append(record)
-    assert tuple(streamed) == run(config).records
+    assert tuple(streamed) == finished_run(config).records
     assert queued[0] > 0  # epoch 0 was handed on while the loop still ran
 
 
 def test_committee_changes_across_epochs():
-    trace = run(_scenario())
+    trace = finished_run(_scenario())
     distinct = {record.committee_ids() for record in trace.records}
     assert len(distinct) > 1
 
@@ -95,8 +90,8 @@ def test_latency_bound_formula():
 
 
 def test_honest_run_meets_liveness_bound():
-    trace = run(_scenario())
-    report = check_liveness(trace)
+    trace = finished_run(_scenario())
+    report = trace.liveness
     assert report.ok
     assert report.bound_ms == 19_830
     assert report.checked_epochs == 12
@@ -105,7 +100,7 @@ def test_honest_run_meets_liveness_bound():
 
 
 def test_zero_network_delay_pins_latency():
-    trace = run(_scenario(delta_net_min_s=0.0, delta_net_max_s=0.0))
+    trace = finished_run(_scenario(delta_net_min_s=0.0, delta_net_max_s=0.0))
     for record in trace.records:
         # proving time plus the slowest chain's finality, nothing else
         assert record.e2e_ms == 830 + 15_000
@@ -126,46 +121,46 @@ def test_every_observation_is_in_by_the_build(overrides):
     # an observation's delay is at most delta_net_max, so the packet built at
     # t0 + delta_net_max + t_prove holds every member that did not withhold
     config = _scenario(**overrides)
-    trace = run(config)
+    trace = finished_run(config)
     for record in trace.records:
         witness = OraclePacket.from_bytes(record.packet_bytes).witness
         observed = [rid for rid in record.committee_ids() if rid not in config.controlled_ids()]
         assert [entry.reporter_id for entry in witness.entries] == observed
-    assert verify_trace_text(render_trace(trace)).exit_code == 0
+    assert verify_trace_text(trace.text).exit_code == 0
 
 
 def test_single_chain_run():
-    trace = run(_scenario(chains=("scroll",)))
-    assert tuple(trace.config.chains) == ("scroll",)
+    trace = finished_run(_scenario(chains=("scroll",)))
+    assert tuple(trace.totals.config.chains) == ("scroll",)
     for record in trace.records:
         assert [r.chain_id for r in record.receipts] == ["scroll"]
-    gas_ops = {(chain, op) for chain, op, _ in trace.gas_totals}
+    gas_ops = {(chain, op) for chain, op, _ in trace.totals.gas_totals}
     assert gas_ops == {("scroll", OP_VERIFY)}
 
 
 def test_withholding_minority_cannot_stall():
-    trace = run(_scenario(adversary_behavior="withhold", adversary_count=5))
+    trace = finished_run(_scenario(adversary_behavior="withhold", adversary_count=5))
     for record in trace.records:
         assert record.packet_bytes is not None
         assert all(r.accepted for r in record.receipts)
-    assert check_liveness(trace).ok
+    assert trace.liveness.ok
 
 
 def test_withholding_majority_starves_quorum():
-    trace = run(_scenario(adversary_behavior="withhold", adversary_count=45))
+    trace = finished_run(_scenario(adversary_behavior="withhold", adversary_count=45))
     for record in trace.records:
         assert record.packet_bytes is None
         assert record.median is None
         assert record.receipts == ()
         assert record.e2e_ms is None
-    summary = metrics(trace)
+    summary = trace.metrics
     assert summary.accepted_epochs == 0
     assert summary.throughput_pps == 0.0
 
 
 def test_wrong_value_minority_cannot_move_median():
-    trace = run(_scenario(adversary_behavior="wrong_value", adversary_count=5))
-    config = trace.config
+    trace = finished_run(_scenario(adversary_behavior="wrong_value", adversary_count=5))
+    config = trace.totals.config
     for record in trace.records:
         assert all(r.accepted for r in record.receipts)
         # median stays pinned to the honest walk, far from the forged extreme
@@ -176,7 +171,7 @@ def test_wrong_value_minority_cannot_move_median():
 
 
 def test_fraud_epochs_are_rejected_and_slashed():
-    trace = run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
+    trace = finished_run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
     fraud_epochs = [r.epoch for r in trace.records if r.fraud_injected]
     assert fraud_epochs == [4, 9]
     slashed_total = 0
@@ -191,21 +186,21 @@ def test_fraud_epochs_are_rejected_and_slashed():
         slash = record.slash
         assert slash is not None
         assert sorted(slash.slashed) == list(record.committee_ids())
-        assert slash.total_cut == 15 * trace.config.slash_cut_wei
+        assert slash.total_cut == 15 * trace.totals.config.slash_cut_wei
         assert slash.latency_ms == slash.applied_ms - slash.emitted_ms >= 0
         assert slash.applied_ms % 2_000 == 0  # hub ticks with the fastest chain
         slashed_total += slash.total_cut
-    assert trace.final_burned == slashed_total
-    assert trace.final_total + trace.final_burned == (
-        trace.config.registry_size * trace.config.initial_stake_wei
+    assert trace.totals.final_burned == slashed_total
+    assert trace.totals.final_total + trace.totals.final_burned == (
+        trace.totals.config.registry_size * trace.totals.config.initial_stake_wei
     )
-    assert trace.records[-1].ledger_total == trace.final_total
-    assert trace.records[-1].ledger_burned == trace.final_burned
+    assert trace.records[-1].ledger_total == trace.totals.final_total
+    assert trace.records[-1].ledger_burned == trace.totals.final_burned
 
 
 def test_fraud_charges_fraud_gas_on_origin_chain():
-    trace = run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
-    gas = {(chain, op): total for chain, op, total in trace.gas_totals}
+    trace = finished_run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
+    gas = {(chain, op): total for chain, op, total in trace.totals.gas_totals}
     fraud_count = sum(1 for r in trace.records if r.slash is not None)
     assert fraud_count == 2
     fraud_gas = gas.get(("sepolia", OP_FRAUD), 0) + gas.get(("scroll", OP_FRAUD), 0)
@@ -222,13 +217,13 @@ def test_each_packet_is_serialized_once(monkeypatch):
     calls = []
     to_bytes = Witness.to_bytes
     monkeypatch.setattr(Witness, "to_bytes", lambda witness: calls.append(1) or to_bytes(witness))
-    trace = run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
+    trace = finished_run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
     assert sum(r.slash is not None for r in trace.records) == 2
     assert len(calls) == sum(r.packet_bytes is not None for r in trace.records) == 12
 
 
 def test_governance_resizes_committee_mid_run():
-    trace = run(
+    trace = finished_run(
         _scenario(
             governance=(GovernanceItem("n", 21, 2),),  # effective at epoch 4
         )
@@ -236,24 +231,24 @@ def test_governance_resizes_committee_mid_run():
     for record in trace.records:
         expected = 21 if record.epoch >= 4 else 15
         assert len(record.committee) == expected
-    assert [(u.effective_epoch, u.parameter, u.value) for u in trace.governance_records] == [
+    assert [(u.effective_epoch, u.parameter, u.value) for u in trace.totals.governance_records] == [
         (4, "n", 21)
     ]
-    gas = {(chain, op): total for chain, op, total in trace.gas_totals}
+    gas = {(chain, op): total for chain, op, total in trace.totals.gas_totals}
     assert gas[("sepolia", OP_GOVERNANCE)] == 38_220
     assert gas[("scroll", OP_GOVERNANCE)] == 11_706
 
 
 def test_governance_quorum_change_applies():
-    trace = run(_scenario(governance=(GovernanceItem("f_min", 14, 1),)))
+    trace = finished_run(_scenario(governance=(GovernanceItem("f_min", 14, 1),)))
     # every epoch still clears the stiffer quorum: all 15 members observe
     for record in trace.records:
         assert all(r.accepted for r in record.receipts)
 
 
 def test_metrics_summary_consistency():
-    trace = run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
-    summary = metrics(trace)
+    trace = finished_run(_scenario(adversary_behavior="wrong_median_packet", fraud_period=5))
+    summary = trace.metrics
     assert summary.epochs == 12
     assert summary.accepted_epochs == 10
     assert summary.throughput_pps == 10 / (12 * 30.0)
@@ -268,8 +263,8 @@ def test_metrics_summary_consistency():
 
 
 def test_gas_totals_cover_verify_on_every_chain():
-    trace = run(_scenario())
-    gas = {(chain, op): total for chain, op, total in trace.gas_totals}
+    trace = finished_run(_scenario())
+    gas = {(chain, op): total for chain, op, total in trace.totals.gas_totals}
     assert gas[("sepolia", OP_VERIFY)] == 12 * 296_112
     assert gas[("scroll", OP_VERIFY)] == 12 * 88_029
 
@@ -297,7 +292,7 @@ def test_no_event_fires_at_a_pulse_ms_before_that_pulse(monkeypatch):
     for name, fn in list(vars(Simulator).items()):
         if name.startswith("_on_"):
             monkeypatch.setattr(Simulator, name, watch(name, fn))
-    trace = run(config)
+    trace = finished_run(config)
     assert pulsed == list(range(config.epochs))
     assert sum(record.packet_bytes is not None for record in trace.records) == config.epochs
     assert early == []

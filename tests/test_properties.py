@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vzor import netsim
 from vzor.cli import SWEEPABLE, main
 from vzor.errors import ConfigError, InvalidScenario
 from vzor.scenario import BEHAVIORS, MAX_REGISTRY_SIZE, ScenarioConfig, canonical_text, parse_config
-from vzor.trace import render_trace, verify_trace_text
+from vzor.trace import verify_trace_text
+
+from conftest import finished_run
 
 ETH = 10**18
 
@@ -50,14 +51,14 @@ def scenarios(draw, behaviors=BEHAVIORS) -> ScenarioConfig:
 
 
 def _check_run(config: ScenarioConfig) -> None:
-    trace = netsim.run(config)
-    check = verify_trace_text(render_trace(trace))
+    trace = finished_run(config)
+    check = verify_trace_text(trace.text)
     assert check.exit_code == 0, check.problems
     initial_total = config.registry_size * config.initial_stake_wei
-    assert trace.final_total + trace.final_burned == initial_total
+    assert trace.totals.final_total + trace.totals.final_burned == initial_total
     for record in trace.records:
         assert record.ledger_total + record.ledger_burned == initial_total
-    assert netsim.check_liveness(trace).ok
+    assert trace.liveness.ok
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

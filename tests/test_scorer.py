@@ -12,8 +12,9 @@ import pytest
 
 from vzor import netsim, sig
 from vzor.scenario import ScenarioConfig
-from vzor.trace import render_trace, verify_trace_text
+from vzor.trace import verify_trace_text
 
+from conftest import finished_run
 from test_netsim import SMALL, _traced_peak, null_sink_run
 from test_trace import _edit_witness, _flip_signature_bit, _swap_signatures
 
@@ -25,7 +26,7 @@ SORTITION = b"VZOR/vrf/v1\x00VZOR/sortition/v1\x00"  # every sortition message s
 @pytest.fixture(scope="module")
 def in_process_trace():
     # 6 epochs x 50 reporters is below SCORER_MIN_SIGNS: scored in-process
-    return render_trace(netsim.run(FRAUD))
+    return finished_run(FRAUD).text
 
 
 @pytest.fixture()
@@ -114,7 +115,7 @@ def _die():
 
 
 def test_forked_run_is_identical_and_reaped(forked, in_process_trace):
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    assert finished_run(FRAUD).text == in_process_trace
     assert forked == [1]
     _assert_no_child()
 
@@ -136,7 +137,7 @@ def test_bad_block_stops_the_replay_at_its_epoch(forked, in_process_trace):
 
 
 def test_flipped_signature_stops_a_long_replay_at_its_epoch(forked):
-    text = render_trace(netsim.run(FRAUD._replace(epochs=48)))
+    text = finished_run(FRAUD._replace(epochs=48)).text
     sig.reset()
     check = verify_trace_text(_edit_witness(text, 3, _flip_signature_bit))
     assert check.exit_code == 4
@@ -172,7 +173,7 @@ def test_handler_that_raises_mid_run_is_reaped(forked, monkeypatch):
 
     monkeypatch.setattr(netsim.Simulator, "_on_packet_built", fail_at_epoch_2)
     with pytest.raises(RuntimeError, match="handler failed"):
-        netsim.run(FRAUD)
+        finished_run(FRAUD)
     assert forked == [1]
     _assert_no_child()
 
@@ -192,7 +193,7 @@ def test_failed_fork_scores_in_process(forked, monkeypatch, in_process_trace, ca
         raise OSError(f"{call} unavailable")
 
     monkeypatch.setattr(os, call, fail)
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    assert finished_run(FRAUD).text == in_process_trace
     assert failed == [call]
     assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
 
@@ -200,7 +201,7 @@ def test_failed_fork_scores_in_process(forked, monkeypatch, in_process_trace, ca
 def test_scorer_that_dies_early_leaves_the_rest_in_process(forked, monkeypatch, in_process_trace):
     counts = split(monkeypatch)
     stop_child_at(monkeypatch, 3 * FRAUD.registry_size, _die)  # at epoch 3's first proof
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    assert finished_run(FRAUD).text == in_process_trace
     assert forked == [1]
     assert counts["piped"] <= 3 * FRAUD.registry_size
     assert counts["signed"] + counts["piped"] == PROOFS
@@ -222,7 +223,7 @@ def test_loop_signs_every_proof_while_the_scorer_sleeps(forked, monkeypatch, in_
 
     monkeypatch.setattr(netsim.Simulator, "_on_committee_draw", note_child_then_draw)
     started = time.perf_counter()
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    assert finished_run(FRAUD).text == in_process_trace
     assert time.perf_counter() - started < 30  # the sleeping scorer was killed, not awaited
     assert counts == {"signed": PROOFS, "piped": 0}
     # epoch 0's draw forked the child, which slept through every later draw
@@ -232,12 +233,15 @@ def test_loop_signs_every_proof_while_the_scorer_sleeps(forked, monkeypatch, in_
     _assert_no_child()
 
 
-def test_ends_meet_inside_an_epoch(forked, monkeypatch, in_process_trace):
+@pytest.mark.parametrize("cap", [None, 100, 37])
+def test_ends_meet_inside_an_epoch(forked, monkeypatch, in_process_trace, cap):
     # the child writes the first 133 proofs and sleeps; the loop signs the
     # last 17 of epoch 2, which takes its first 33 from the pipe, and epochs
-    # 3, 4 and 5
+    # 3, 4 and 5.  A read of at most ``cap`` bytes may end inside a proof.
     counts = split(monkeypatch, piped=133)
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, cap or n)))
+    assert finished_run(FRAUD).text == in_process_trace
     assert counts == {"signed": PROOFS - 133, "piped": 133}
     assert sig.counters() == sig.Counters(signs=390, real_verifies=0, memo_hits=270)
     _assert_no_child()
@@ -264,10 +268,10 @@ def test_registry_wider_than_the_pipe_meets_a_late_child(forked, monkeypatch):
     proofs = wide.epochs * wide.registry_size
     with monkeypatch.context() as patch:
         patch.setattr(netsim, "SCORER_MIN_SIGNS", proofs + 1)
-        in_process = render_trace(netsim.run(wide))
+        in_process = finished_run(wide).text
     counts = split(monkeypatch)
     stop_child_at(monkeypatch, 0, lambda: time.sleep(0.3))
-    assert render_trace(netsim.run(wide)) == in_process
+    assert finished_run(wide).text == in_process
     assert forked == [1]
     assert counts["piped"] >= proofs // 10
     assert counts["signed"] + counts["piped"] == proofs
@@ -285,7 +289,7 @@ def test_epoch_count_beyond_64_bits_forks_its_scorer(forked):
 
 def test_no_proof_is_signed_twice_in_the_loop(forked, monkeypatch, in_process_trace):
     counts = split(monkeypatch)
-    assert render_trace(netsim.run(FRAUD)) == in_process_trace
+    assert finished_run(FRAUD).text == in_process_trace
     assert counts["signed"] + counts["piped"] == PROOFS
     _assert_no_child()
 
@@ -295,7 +299,7 @@ def test_run_with_other_threads_does_not_fork(forked, in_process_trace):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert render_trace(netsim.run(FRAUD)) == in_process_trace
+        assert finished_run(FRAUD).text == in_process_trace
     finally:
         release.set()
         waiter.join(timeout=10)

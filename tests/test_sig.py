@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from vzor import netsim, sig
 from vzor.cli import main
 from vzor.errors import UnverifiableScore
-from vzor.netsim import run
 from vzor.scenario import ScenarioConfig
 from vzor.vrf import ReporterSecret
 
+from conftest import finished_run
 from test_scorer import split
 from test_trace import _edit_witness, _flip_signature_bit
 
@@ -168,7 +168,7 @@ def test_real_verify_mode_bypasses_memo(signer, monkeypatch):
 
 
 def test_honest_run_counts_per_epoch():
-    run(ScenarioConfig(seed=7, epochs=4))
+    finished_run(ScenarioConfig(seed=7, epochs=4))
     counts = sig.counters()
     # 50 sortition proofs and 15 observations signed per epoch; every
     # check re-verifies one of them, so none needs a real verify
@@ -227,7 +227,7 @@ def test_real_verify_mode_rejects_bad_scorer_bytes(monkeypatch):
     monkeypatch.setenv(sig.REAL_VERIFY_ENV, "1")
     sig.reset()
     with pytest.raises(UnverifiableScore):
-        run(ScenarioConfig(seed=3, epochs=2))
+        finished_run(ScenarioConfig(seed=3, epochs=2))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -279,7 +279,7 @@ def test_memo_cap_loses_no_hit(interval, open_epochs, monkeypatch):
     for cap in (sig.cap_memo, lambda entries: None):
         monkeypatch.setattr(sig, "cap_memo", cap)
         sig.reset()
-        run(config)
+        finished_run(config)
         counts.append((sig.counters(), sig.MEMO_CAP, sig.memo_size()))
     (capped, cap, size), (unbounded, default, full) = counts
     assert cap == 65 * open_epochs and size <= cap

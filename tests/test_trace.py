@@ -18,25 +18,25 @@ from vzor.trace import (
     ms_to_s_text,
     parse_trace,
     render_block,
-    render_csv,
     render_head,
-    render_trace,
     verify_trace_file,
     verify_trace_text,
 )
 from vzor.vrf import ReporterSecret
+
+from conftest import finished_run
 
 BASE = ScenarioConfig(seed=7, epochs=12)
 
 
 @pytest.fixture(scope="module")
 def honest_trace():
-    return netsim.run(BASE)
+    return finished_run(BASE)
 
 
 @pytest.fixture(scope="module")
 def fraud_trace():
-    return netsim.run(
+    return finished_run(
         BASE._replace(
             adversary_behavior="wrong_median_packet",
             fraud_period=5,
@@ -77,19 +77,19 @@ def test_ms_to_s_text(ms, text):
 
 
 def test_parse_round_trip(fraud_trace):
-    text = render_trace(fraud_trace)
+    text = fraud_trace.text
     lines = iter(io.StringIO(text))
     config_text, head, line = parse_trace(lines)
     blocks = list(trace_mod._blocks(line, lines))  # read on from the same iterator
     assert head + "".join(block for _, block in blocks) + "[end]\n" == text
-    assert config_text == canonical_text(fraud_trace.config)
-    assert head == render_head(fraud_trace)
+    assert config_text == canonical_text(fraud_trace.totals.config)
+    assert head == render_head(netsim.Simulator(fraud_trace.totals.config))
     assert [epoch for epoch, _ in blocks] == list(range(12))
     assert head.count("\ngovernance effective=") == 1
 
 
 def test_csv_shape(fraud_trace):
-    lines = render_csv(fraud_trace).rstrip("\n").split("\n")
+    lines = fraud_trace.csv.rstrip("\n").split("\n")
     assert lines[0] == (
         "epoch,committee_ids,median,accepted_sepolia,accepted_scroll,"
         "gas_sepolia,gas_scroll,e2e_latency_s,fraud_injected,slash_latency_s,slashed_ids"
@@ -108,33 +108,33 @@ def test_csv_shape(fraud_trace):
 
 def test_written_files_round_trip(tmp_path, honest_trace):
     cli._write_run_outputs(netsim.Simulator(BASE), str(tmp_path))
-    assert (tmp_path / "trace.txt").read_text() == render_trace(honest_trace)
-    assert (tmp_path / "epochs.csv").read_text() == render_csv(honest_trace)
+    assert (tmp_path / "trace.txt").read_text() == honest_trace.text
+    assert (tmp_path / "epochs.csv").read_text() == honest_trace.csv
 
 
 def _assert_streamed(out, run_trace):
     """The files vzor wrote as each epoch closed are the rendered whole run's."""
-    assert (out / "config.txt").read_text() == canonical_text(run_trace.config)
-    assert (out / "trace.txt").read_text() == render_trace(run_trace)
-    assert (out / "epochs.csv").read_text() == render_csv(run_trace)
-    assert (out / "metrics.txt").read_text() == netsim.metrics(run_trace).to_text()
+    assert (out / "config.txt").read_text() == canonical_text(run_trace.totals.config)
+    assert (out / "trace.txt").read_text() == run_trace.text
+    assert (out / "epochs.csv").read_text() == run_trace.csv
+    assert (out / "metrics.txt").read_text() == run_trace.metrics.to_text()
     assert not list(out.glob("*.tmp"))
 
 
 def test_streamed_outputs_equal_the_rendered_run(tmp_path, fraud_trace, capsys):
     # fraud every fifth epoch, slashing, and a governance update
     config = tmp_path / "scenario.txt"
-    config.write_text(canonical_text(fraud_trace.config))
+    config.write_text(canonical_text(fraud_trace.totals.config))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     _assert_streamed(tmp_path / "run", fraud_trace)
     sweep = ["sweep", "--config", str(config), "--param", "n", "--values", "11,15"]
     assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     for n, row in zip((11, 15), rows):
-        run_trace = netsim.run(fraud_trace.config._replace(committee_size=n))
+        run_trace = finished_run(fraud_trace.totals.config._replace(committee_size=n))
         _assert_streamed(tmp_path / "sweep" / f"n_{n}", run_trace)
-        summary = netsim.metrics(run_trace)
-        liveness = netsim.check_liveness(run_trace)
+        summary = run_trace.metrics
+        liveness = run_trace.liveness
         assert row.split(",")[2:10] == [
             str(cell) for cell in (
                 summary.epochs, summary.accepted_epochs, summary.throughput_pps,
@@ -163,7 +163,7 @@ def test_streamed_outputs_equal_the_rendered_run(tmp_path, fraud_trace, capsys):
     ],
 )
 def test_verify_exits_2_on_corruption(honest_trace, damage):
-    text = damage(render_trace(honest_trace))
+    text = damage(honest_trace.text)
     check = verify_trace_text(text)
     assert check.exit_code == 2
     assert not check.ok
@@ -176,7 +176,7 @@ def test_verify_exits_2_on_missing_file(tmp_path):
 
 def test_verify_exits_2_on_tampered_config(honest_trace):
     # config keys are validated before replay
-    trace_text = render_trace(honest_trace)
+    trace_text = honest_trace.text
     text = _swap_line(trace_text, "registry_size", "registry_size", "registry_sise")
     assert verify_trace_text(text).exit_code == 2
     # so is a config that parses but fails validation, with validate's message
@@ -200,7 +200,7 @@ def _verify_piped(text: str) -> subprocess.CompletedProcess:
 
 def test_verify_reads_a_trace_from_a_pipe():
     # a pipe cannot seek: the trace is read in one pass
-    text = render_trace(netsim.run(ScenarioConfig(seed=3, epochs=6)))
+    text = finished_run(ScenarioConfig(seed=3, epochs=6)).text
     clean = _verify_piped(text)
     assert (clean.returncode, clean.stderr) == (0, "")
     edited = _verify_piped(_swap_line(text, "receipt chain=scroll", "gas=88029", "gas=88028"))
@@ -212,7 +212,7 @@ def test_verdict_order_across_sites():
     # an epoch-0 block mismatch and one more edit: damage anywhere comes
     # first, then the epoch numbers, then the head, then the first block;
     # damage comes before a config that fails validation, too
-    text = render_trace(netsim.run(ScenarioConfig(seed=3, epochs=6)))
+    text = finished_run(ScenarioConfig(seed=3, epochs=6)).text
     gas = _swap_line(text, "receipt chain=scroll", "gas=88029", "gas=88028")
     start = next(line for line in text.split("\n") if line.startswith("ledger start "))
     quorum = _swap_line(text, "quorum = 10", "quorum = 10", "quorum = 16")
@@ -244,20 +244,20 @@ def test_verdict_order_across_sites():
 
 
 def test_verify_accepts_honest_trace(honest_trace):
-    check = verify_trace_text(render_trace(honest_trace))
+    check = verify_trace_text(honest_trace.text)
     assert check.exit_code == 0
     assert check.ok
     assert check.problems == ()
 
 
 def test_verify_accepts_fraud_trace(fraud_trace):
-    assert verify_trace_text(render_trace(fraud_trace)).exit_code == 0
+    assert verify_trace_text(fraud_trace.text).exit_code == 0
 
 
 def test_verdict_is_checked_under_the_epochs_governed_params(fraud_trace):
     # f_min:11@1 is in force from epoch 3, and epoch 5's packet commits to
     # quorum 11: re-verified under genesis parameters it would not match
-    head, start, rest = render_trace(fraud_trace).partition("[epoch 5]\n")
+    head, start, rest = fraud_trace.text.partition("[epoch 5]\n")
     rest = rest.replace("receipt chain=sepolia accepted=1", "receipt chain=sepolia accepted=0", 1)
     check = verify_trace_text(head + start + rest)
     assert check.exit_code == 4
@@ -275,7 +275,7 @@ def test_governed_cut_slashes_from_its_effective_epoch():
         fraud_period=2,
         governance=(GovernanceItem("s_cut", new_cut, 2),),
     )
-    run_trace = netsim.run(config)
+    run_trace = finished_run(config)
     slashes = [
         (rec.epoch, line)
         for rec in run_trace.records
@@ -285,12 +285,12 @@ def test_governed_cut_slashes_from_its_effective_epoch():
     assert [epoch for epoch, _ in slashes] == [1, 3, 5, 7, 9, 11]
     for epoch, line in slashes:
         assert f" cut={new_cut if epoch >= 4 else BASE.slash_cut_wei} " in line
-    assert verify_trace_text(render_trace(run_trace)).exit_code == 0
+    assert verify_trace_text(run_trace.text).exit_code == 0
 
 
 @pytest.mark.parametrize("old, new", [("value=11", "value=12"), ("effective=3", "effective=4")])
 def test_edited_governance_line_exits_4(tmp_path, capsys, fraud_trace, old, new):
-    text = render_trace(fraud_trace)
+    text = fraud_trace.text
     line = text.split("\n").index("governance effective=3 param=f_min value=11") + 1
     edited = _swap_line(text, "governance effective=", old, new)
     check = verify_trace_text(edited)
@@ -304,7 +304,7 @@ def test_edited_governance_line_exits_4(tmp_path, capsys, fraud_trace, old, new)
 
 def test_verify_catches_flipped_accept_bit(honest_trace):
     text = _swap_line(
-        render_trace(honest_trace), "receipt chain=sepolia", "accepted=1", "accepted=0"
+        honest_trace.text, "receipt chain=sepolia", "accepted=1", "accepted=0"
     )
     check = verify_trace_text(text)
     assert check.exit_code == 4
@@ -313,20 +313,20 @@ def test_verify_catches_flipped_accept_bit(honest_trace):
 
 def test_verify_catches_gas_edit(honest_trace):
     text = _swap_line(
-        render_trace(honest_trace), "receipt chain=scroll", "gas=88029", "gas=88028"
+        honest_trace.text, "receipt chain=scroll", "gas=88029", "gas=88028"
     )
     assert verify_trace_text(text).exit_code == 4
 
 
 def test_verify_catches_median_edit(honest_trace):
     original = str(honest_trace.records[0].median)
-    text = _swap_line(render_trace(honest_trace), "median ", original, original[:-1] + "9")
+    text = _swap_line(honest_trace.text, "median ", original, original[:-1] + "9")
     assert verify_trace_text(text).exit_code == 4
 
 
 def test_verify_catches_e2e_edit(honest_trace):
     original = f"e2e_ms {honest_trace.records[0].e2e_ms}"
-    text = render_trace(honest_trace).replace(original, "e2e_ms 1", 1)
+    text = honest_trace.text.replace(original, "e2e_ms 1", 1)
     assert verify_trace_text(text).exit_code == 4
 
 
@@ -337,7 +337,7 @@ def test_verify_catches_offmax_finality_edit(honest_trace):
         r.final_ms for r in honest_trace.records[0].receipts if r.chain_id == "scroll"
     )
     text = _swap_line(
-        render_trace(honest_trace),
+        honest_trace.text,
         "receipt chain=scroll",
         f"final_ms={final}",
         f"final_ms={final + 1}",
@@ -351,7 +351,7 @@ def test_verify_catches_slash_tampering(fraud_trace):
     fraud = next(r for r in fraud_trace.records if r.slash is not None)
     ids = ";".join(str(i) for i in fraud.slash.slashed)
     shorter = ";".join(str(i) for i in fraud.slash.slashed[:-1])
-    text = _swap_line(render_trace(fraud_trace), "slash origin=", f"ids={ids}", f"ids={shorter}")
+    text = _swap_line(fraud_trace.text, "slash origin=", f"ids={ids}", f"ids={shorter}")
     assert verify_trace_text(text).exit_code == 4
 
 
@@ -363,16 +363,16 @@ def test_verify_accepts_cuts_larger_than_the_stake_left():
         seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=1,
         slash_cut_wei=20 * 10**18,
     )
-    trace = netsim.run(config)
+    trace = finished_run(config)
     slashes = [r.slash for r in trace.records if r.slash is not None]
     assert any(s.total_cut < s.per_reporter_cut * len(s.slashed) for s in slashes)
-    assert verify_trace_text(render_trace(trace)).exit_code == 0
+    assert verify_trace_text(trace.text).exit_code == 0
 
 
 def test_verify_catches_ledger_tampering(fraud_trace):
-    burned = fraud_trace.final_burned
+    burned = fraud_trace.totals.final_burned
     text = _swap_line(
-        render_trace(fraud_trace),
+        fraud_trace.text,
         "ledger total=",
         f"burned={burned}",
         f"burned={burned - 1}",
@@ -382,7 +382,7 @@ def test_verify_catches_ledger_tampering(fraud_trace):
 
 
 def test_verify_catches_missing_epoch(honest_trace):
-    lines = render_trace(honest_trace).split("\n")
+    lines = honest_trace.text.split("\n")
     start = lines.index("[epoch 3]")
     end = lines.index("[/epoch]", start)
     text = "\n".join(lines[:start] + lines[end + 1 :])
@@ -394,7 +394,7 @@ def test_verify_catches_missing_epoch(honest_trace):
 def test_claimed_epoch_count_does_not_size_memory():
     # a one-epoch trace edited to claim two million epochs is found short in
     # memory that follows the file, not the epoch count it claims
-    text = render_trace(netsim.run(BASE._replace(epochs=1)))
+    text = finished_run(BASE._replace(epochs=1)).text
     edited = text.replace("\nepochs = 1\n", "\nepochs = 2000000\n", 1)
     assert edited != text
     tracemalloc.start()
@@ -411,7 +411,7 @@ def test_claimed_epoch_count_does_not_size_memory():
 def test_divergence_names_its_epoch_and_field(honest_trace):
     # edits that decode are found by the replay: the report names the epoch,
     # kind and field of an edited block line, and the number of another line
-    text = render_trace(honest_trace)
+    text = honest_trace.text
     lines = text.split("\n")
     e2e = honest_trace.records[0].e2e_ms
     final = next(r.final_ms for r in honest_trace.records[0].receipts if r.chain_id == "scroll")
@@ -457,13 +457,9 @@ def test_verify_rejects_every_single_byte_edit():
     # 400 seeded single-byte printable edits of a short fraud trace: every
     # edit that changes the text is corruption (2) or a mismatch (4) that
     # names its epoch or line, and verification never raises
-    text = render_trace(
-        netsim.run(
-            ScenarioConfig(
-                seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2
-            )
-        )
-    )
+    text = finished_run(
+        ScenarioConfig(seed=3, epochs=6, adversary_behavior="wrong_median_packet", fraud_period=2)
+    ).text
     rng = random.Random(2026)
     for _ in range(400):
         pos = rng.randrange(len(text))
@@ -525,7 +521,7 @@ def _edit_witness(text: str, epoch: int, edit) -> str:
 
 @pytest.mark.parametrize("behavior", ["honest", "wrong_median_packet"])
 def test_clean_trace_needs_no_real_verify(seam, behavior):
-    text = render_trace(netsim.run(SHORT._replace(adversary_behavior=behavior)))
+    text = finished_run(SHORT._replace(adversary_behavior=behavior)).text
     check, counts = _verify_fresh(text)
     assert check.exit_code == 0
     assert counts.real_verifies == 0
@@ -536,7 +532,7 @@ def test_overlapping_epochs_need_no_real_verify(seam):
     # a packet is built 2.83 s after its pulse, so epochs 1 s apart overlap
     config = SHORT._replace(epoch_interval_s=1.0)
     assert config.delta_net_max_ms + config.t_prove_ms > 2 * config.epoch_interval_ms
-    check, counts = _verify_fresh(render_trace(netsim.run(config)))
+    check, counts = _verify_fresh(finished_run(config).text)
     assert check.exit_code == 0
     assert counts.real_verifies == 0
 
@@ -559,7 +555,7 @@ def _flip_signature_bit(entries):
     ids=["swapped", "flipped_bit_last_epoch"],
 )
 def test_altered_witness_signature_exits_4(seam, epoch, edit):
-    text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, edit)
+    text = _edit_witness(finished_run(SHORT).text, epoch, edit)
     check = _verify_both_modes(text, seam)
     assert check.exit_code == 4
     assert f"epoch {epoch}:" in check.problems[0]
@@ -569,7 +565,7 @@ def test_altered_witness_signature_exits_4(seam, epoch, edit):
 def test_mismatch_reverifies_only_the_diverging_block(seam, monkeypatch):
     # the replay's own chains verify every packet it builds, so only the
     # one recorded block that differs from the replay is verified again
-    text = render_trace(netsim.run(SHORT._replace(epochs=48)))
+    text = finished_run(SHORT._replace(epochs=48)).text
     text = _edit_witness(text, 3, _flip_signature_bit)
     calls = []
     real = trace_mod.verify
@@ -593,7 +589,7 @@ def test_valid_signature_over_another_value_exits_4(seam):
         forged.append((secret.public_key, message, secret.sign(message)))
         entries[0] = entry._replace(signature=forged[0][2])
 
-    text = _edit_witness(render_trace(netsim.run(SHORT)), epoch, resign)
+    text = _edit_witness(finished_run(SHORT).text, epoch, resign)
     assert sig.verify(*forged[0])  # a genuine signature by the member, for value + 1
     check = _verify_both_modes(text, seam)
     assert check.exit_code == 4
